@@ -34,32 +34,27 @@ Package map:
 * :mod:`repro.obs` — the observability layer: metrics registry,
   cycle-level pipeline tracing (Chrome trace-event / Perfetto), and
   machine-readable run manifests.
+
+Every package's public names (``repro.simulate``, ``repro.obs.CycleTracer``,
+...) are resolved on first access: importing a package imports none of
+its submodules, and a name's module loads when the name is first used
+(:mod:`repro._lazy`).  So ``import repro.service.server`` never loads
+the simulator.  See "Import layering" in ``docs/RUNTIME.md``.
 """
 
-from repro.assign.base import StrategySpec
-from repro.cluster.config import (
-    MachineConfig,
-    baseline_config,
-    fast_forward_config,
-    mesh_config,
-    two_cluster_config,
-)
-from repro.core.simulator import SimResult, Simulator, simulate
-from repro.workloads.suites import MEDIABENCH, SPECINT2000, SPECINT2000_SELECTED
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.assign.base": ("StrategySpec",),
+    "repro.cluster.config": (
+        "MachineConfig", "baseline_config", "fast_forward_config",
+        "mesh_config", "two_cluster_config",
+    ),
+    "repro.core.result": ("SimResult",),
+    "repro.core.simulator": ("Simulator", "simulate"),
+    "repro.workloads.suites": (
+        "MEDIABENCH", "SPECINT2000", "SPECINT2000_SELECTED",
+    ),
+})
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "MEDIABENCH",
-    "MachineConfig",
-    "SPECINT2000",
-    "SPECINT2000_SELECTED",
-    "SimResult",
-    "Simulator",
-    "StrategySpec",
-    "baseline_config",
-    "fast_forward_config",
-    "mesh_config",
-    "simulate",
-    "two_cluster_config",
-]

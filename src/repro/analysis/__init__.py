@@ -9,94 +9,35 @@ and regression subsystem behind ``repro analyze`` / ``repro baseline``
 baselines with noise bands, and out-of-band run diffing.
 """
 
-from repro.analysis.utilization import UtilizationReport, collect_utilization
-from repro.analysis.export import results_to_csv, results_to_rows
-from repro.analysis.charts import bar_chart
-from repro.analysis.energy import EnergyModel, EnergyReport, estimate_energy
-from repro.analysis.attribution import Attribution
-from repro.analysis.baseline import (
-    BASELINE_SCHEMA_VERSION,
-    capture_baseline,
-    load_baseline,
-    metric_direction,
-    metrics_from_result,
-    write_baseline,
-)
-from repro.analysis.diffing import DiffReport, MetricDelta, diff_sources
-from repro.analysis.reporting import (
-    AnalysisReport,
-    AssignmentQuality,
-    analyze_manifest,
-)
-from repro.analysis.history import (
-    HISTORY_SCHEMA_VERSION,
-    HistoryStore,
-    append_trajectory,
-    load_points,
-    load_trajectory,
-    metric_series,
-    sparkline,
-)
-from repro.analysis.phases import (
-    PHASE_SIGNATURE_VERSION,
-    Phase,
-    PhaseReport,
-    compare_timelines,
-    detect_phases,
-    load_timeline,
-    render_comparison,
-    render_timeline,
-    segment_timeline,
-    window_features,
-)
-from repro.analysis.bench import run_bench
-from repro.analysis.degradation import (
-    CheckReport,
-    bisect_commits,
-    check_history,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AnalysisReport",
-    "AssignmentQuality",
-    "Attribution",
-    "BASELINE_SCHEMA_VERSION",
-    "CheckReport",
-    "DiffReport",
-    "EnergyModel",
-    "EnergyReport",
-    "HISTORY_SCHEMA_VERSION",
-    "HistoryStore",
-    "MetricDelta",
-    "PHASE_SIGNATURE_VERSION",
-    "Phase",
-    "PhaseReport",
-    "UtilizationReport",
-    "analyze_manifest",
-    "append_trajectory",
-    "bar_chart",
-    "bisect_commits",
-    "capture_baseline",
-    "check_history",
-    "collect_utilization",
-    "compare_timelines",
-    "detect_phases",
-    "diff_sources",
-    "estimate_energy",
-    "load_baseline",
-    "load_points",
-    "load_timeline",
-    "load_trajectory",
-    "metric_direction",
-    "metric_series",
-    "metrics_from_result",
-    "render_comparison",
-    "render_timeline",
-    "segment_timeline",
-    "results_to_csv",
-    "results_to_rows",
-    "run_bench",
-    "sparkline",
-    "window_features",
-    "write_baseline",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.analysis.utilization": ("UtilizationReport", "collect_utilization"),
+    "repro.analysis.export": ("results_to_csv", "results_to_rows"),
+    "repro.analysis.charts": ("bar_chart",),
+    "repro.analysis.energy": (
+        "EnergyModel", "EnergyReport", "estimate_energy",
+    ),
+    "repro.analysis.attribution": ("Attribution",),
+    "repro.analysis.baseline": (
+        "BASELINE_SCHEMA_VERSION", "capture_baseline", "load_baseline",
+        "metric_direction", "metrics_from_result", "write_baseline",
+    ),
+    "repro.analysis.diffing": ("DiffReport", "MetricDelta", "diff_sources"),
+    "repro.analysis.reporting": (
+        "AnalysisReport", "AssignmentQuality", "analyze_manifest",
+    ),
+    "repro.analysis.history": (
+        "HISTORY_SCHEMA_VERSION", "HistoryStore", "append_trajectory",
+        "load_points", "load_trajectory", "metric_series", "sparkline",
+    ),
+    "repro.analysis.phases": (
+        "PHASE_SIGNATURE_VERSION", "Phase", "PhaseReport", "compare_timelines",
+        "detect_phases", "load_timeline", "render_comparison",
+        "render_timeline", "segment_timeline", "window_features",
+    ),
+    "repro.analysis.bench": ("run_bench",),
+    "repro.analysis.degradation": (
+        "CheckReport", "bisect_commits", "check_history",
+    ),
+})

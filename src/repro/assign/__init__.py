@@ -15,27 +15,16 @@ Four families are implemented:
   intra-trace-only ablation.
 """
 
-from repro.assign.base import (
-    AssignmentContext,
-    RetireTimeStrategy,
-    StrategySpec,
-    make_strategy,
-)
-from repro.assign.slot import SlotBaseline
-from repro.assign.friendly import FriendlyRetireTime
-from repro.assign.fdrt import FDRTStrategy
-from repro.assign.issue_time import IssueTimeSteering
-from repro.assign.static_pc import StaticAssignment, train_static_assignment
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AssignmentContext",
-    "FDRTStrategy",
-    "FriendlyRetireTime",
-    "IssueTimeSteering",
-    "RetireTimeStrategy",
-    "SlotBaseline",
-    "StaticAssignment",
-    "StrategySpec",
-    "make_strategy",
-    "train_static_assignment",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.assign.base": (
+        "AssignmentContext", "RetireTimeStrategy", "StrategySpec",
+        "make_strategy",
+    ),
+    "repro.assign.slot": ("SlotBaseline",),
+    "repro.assign.friendly": ("FriendlyRetireTime",),
+    "repro.assign.fdrt": ("FDRTStrategy",),
+    "repro.assign.issue_time": ("IssueTimeSteering",),
+    "repro.assign.static_pc": ("StaticAssignment", "train_static_assignment"),
+})

@@ -71,6 +71,12 @@ renders any metric's trajectory as a table + sparkline; ``repro
 check`` gates the newest point against the trailing window (exit 1 on
 degradation); and ``repro bisect`` binary-searches git history for the
 first commit that crossed a metric threshold.
+
+Imports: this module loads only argument parsing and the strategy and
+machine presets.  Each subcommand imports what it uses inside its
+handler, and package names resolve on first access (see
+:mod:`repro._lazy`), so ``repro service`` never loads the simulator and
+``repro worker`` loads it when it runs its first job.
 """
 
 from __future__ import annotations
@@ -79,7 +85,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.analysis import bar_chart, collect_utilization, results_to_csv
 from repro.assign.base import StrategySpec
 from repro.cluster.config import (
     MachineConfig,
@@ -88,8 +93,6 @@ from repro.cluster.config import (
     mesh_config,
     two_cluster_config,
 )
-from repro.core.simulator import Simulator
-from repro.workloads.profiles import all_profiles
 
 _MACHINES = {
     "base": baseline_config,
@@ -656,6 +659,8 @@ def _machine(args) -> MachineConfig:
 
 
 def _run(benchmark: str, spec: StrategySpec, args) -> tuple:
+    from repro.core.simulator import Simulator
+
     simulator = Simulator(benchmark, spec, config=_machine(args))
     if args.warmup:
         simulator.warmup(args.warmup)
@@ -663,6 +668,8 @@ def _run(benchmark: str, spec: StrategySpec, args) -> tuple:
 
 
 def _cmd_list(_args) -> int:
+    from repro.workloads.profiles import all_profiles
+
     profiles = all_profiles()
     width = max(len(name) for name in profiles)
     for name in sorted(profiles):
@@ -671,6 +678,8 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from repro.analysis import results_to_csv
+
     spec = _STRATEGIES[args.strategy]
     _, result = _run(args.benchmark, spec, args)
     if args.csv:
@@ -692,6 +701,7 @@ _COMPARE_ORDER = ("base", "issue", "issue4", "friendly", "fdrt")
 
 
 def _cmd_compare(args) -> int:
+    from repro.analysis import bar_chart, results_to_csv
     from repro.experiments import run_matrix
 
     specs = [_STRATEGIES[name] for name in _COMPARE_ORDER]
@@ -711,6 +721,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from repro.core.simulator import Simulator
     from repro.obs import CycleTracer
 
     if args.events <= 0:
@@ -745,6 +756,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_utilization(args) -> int:
+    from repro.analysis import collect_utilization
+
     spec = _STRATEGIES[args.strategy]
     simulator, _ = _run(args.benchmark, spec, args)
     print(collect_utilization(simulator.pipeline).render())
@@ -1746,8 +1759,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     --keep-going`` with quarantined cells), 130 interrupted
     (SIGINT/SIGTERM; ``sweep --resume`` picks the run back up).
     """
-    from repro.runtime import JobFailedError
-
     args = _build_parser().parse_args(argv)
     _apply_runtime(args)
     handlers = {
@@ -1787,7 +1798,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         # and wrote a `status: interrupted` manifest before raising.
         print(f"\n{stop or 'interrupted'}", file=sys.stderr)
         return 130
-    except JobFailedError as error:
+    except RuntimeError as error:
+        # Only the engine raises JobFailedError, and then its module is
+        # loaded; importing it up front would load the simulator into
+        # every command, the service and the worker included.
+        executor = sys.modules.get("repro.runtime.executor")
+        if executor is None or not isinstance(error,
+                                              executor.JobFailedError):
+            raise
         print(f"error: {error}", file=sys.stderr)
         return 1
     except (KeyError, ValueError) as error:

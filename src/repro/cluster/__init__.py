@@ -1,16 +1,11 @@
 """Clustered execution resources: configuration, interconnect, clusters."""
 
-from repro.cluster.config import MachineConfig
-from repro.cluster.interconnect import Interconnect
-from repro.cluster.functional_units import FunctionalUnit, make_cluster_units
-from repro.cluster.reservation_station import ReservationStation
-from repro.cluster.cluster import Cluster
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Cluster",
-    "FunctionalUnit",
-    "Interconnect",
-    "MachineConfig",
-    "ReservationStation",
-    "make_cluster_units",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.cluster.config": ("MachineConfig",),
+    "repro.cluster.interconnect": ("Interconnect",),
+    "repro.cluster.functional_units": ("FunctionalUnit", "make_cluster_units"),
+    "repro.cluster.reservation_station": ("ReservationStation",),
+    "repro.cluster.cluster": ("Cluster",),
+})

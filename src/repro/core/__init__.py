@@ -1,16 +1,11 @@
 """The out-of-order clustered core and top-level simulator."""
 
-from repro.core.stats import SimStats
-from repro.core.fetch import FetchEngine, StreamCursor
-from repro.core.pipeline import Pipeline
-from repro.core.simulator import SimResult, Simulator, simulate
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FetchEngine",
-    "Pipeline",
-    "SimResult",
-    "SimStats",
-    "Simulator",
-    "StreamCursor",
-    "simulate",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core.stats": ("SimStats",),
+    "repro.core.fetch": ("FetchEngine", "StreamCursor"),
+    "repro.core.pipeline": ("Pipeline",),
+    "repro.core.result": ("SimResult",),
+    "repro.core.simulator": ("Simulator", "simulate"),
+})

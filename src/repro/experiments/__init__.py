@@ -25,70 +25,30 @@ Run budgets default to values that finish in minutes on a laptop; pass
 larger ``instructions``/``warmup`` for tighter numbers.
 """
 
-from repro.experiments.runner import (
-    DEFAULT_INSTRUCTIONS,
-    DEFAULT_WARMUP,
-    ExperimentTable,
-    harmonic_mean,
-    run_matrix,
-)
-from repro.experiments.characterization import (
-    run_characterization,
-    render_table1,
-    render_table2,
-    render_table3,
-    render_figure4,
-)
-from repro.experiments.latency_study import run_latency_study, render_figure5
-from repro.experiments.strategy_comparison import (
-    run_strategy_comparison,
-    render_figure6,
-    render_table8,
-)
-from repro.experiments.fdrt_analysis import (
-    run_fdrt_analysis,
-    render_figure7,
-    render_table9,
-    render_table10,
-)
-from repro.experiments.robustness import run_robustness, render_figure8
-from repro.experiments.suite_study import run_suite_study, render_figure9
-from repro.experiments.reference import render_table6, render_table7
-from repro.experiments.report import generate_report
-from repro.experiments.sensitivity import (
-    render_sweep,
-    run_hop_latency_sweep,
-    run_tc_capacity_sweep,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_INSTRUCTIONS",
-    "DEFAULT_WARMUP",
-    "ExperimentTable",
-    "harmonic_mean",
-    "render_figure4",
-    "render_figure5",
-    "render_figure6",
-    "render_figure7",
-    "render_figure8",
-    "render_figure9",
-    "render_table1",
-    "render_table10",
-    "render_table2",
-    "render_table3",
-    "render_table6",
-    "render_table7",
-    "render_table8",
-    "render_table9",
-    "render_sweep",
-    "generate_report",
-    "run_characterization",
-    "run_hop_latency_sweep",
-    "run_tc_capacity_sweep",
-    "run_fdrt_analysis",
-    "run_latency_study",
-    "run_matrix",
-    "run_robustness",
-    "run_strategy_comparison",
-    "run_suite_study",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.experiments.runner": (
+        "DEFAULT_INSTRUCTIONS", "DEFAULT_WARMUP", "ExperimentTable",
+        "harmonic_mean", "run_matrix",
+    ),
+    "repro.experiments.characterization": (
+        "run_characterization", "render_table1", "render_table2",
+        "render_table3", "render_figure4",
+    ),
+    "repro.experiments.latency_study": ("run_latency_study", "render_figure5"),
+    "repro.experiments.strategy_comparison": (
+        "run_strategy_comparison", "render_figure6", "render_table8",
+    ),
+    "repro.experiments.fdrt_analysis": (
+        "run_fdrt_analysis", "render_figure7", "render_table9",
+        "render_table10",
+    ),
+    "repro.experiments.robustness": ("run_robustness", "render_figure8"),
+    "repro.experiments.suite_study": ("run_suite_study", "render_figure9"),
+    "repro.experiments.reference": ("render_table6", "render_table7"),
+    "repro.experiments.report": ("generate_report",),
+    "repro.experiments.sensitivity": (
+        "render_sweep", "run_hop_latency_sweep", "run_tc_capacity_sweep",
+    ),
+})

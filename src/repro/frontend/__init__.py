@@ -1,17 +1,10 @@
 """Front-end prediction structures: direction predictors, BTB and RAS."""
 
-from repro.frontend.branch_predictor import (
-    BimodalPredictor,
-    BranchTargetBuffer,
-    GsharePredictor,
-    HybridPredictor,
-    ReturnAddressStack,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BimodalPredictor",
-    "BranchTargetBuffer",
-    "GsharePredictor",
-    "HybridPredictor",
-    "ReturnAddressStack",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.frontend.branch_predictor": (
+        "BimodalPredictor", "BranchTargetBuffer", "GsharePredictor",
+        "HybridPredictor", "ReturnAddressStack",
+    ),
+})

@@ -9,40 +9,16 @@ one FP memory unit per cluster).  Opcode semantics beyond class membership
 are irrelevant to cluster assignment, so none are modelled.
 """
 
-from repro.isa.opcodes import (
-    BRANCH_OPCODES,
-    EXEC_LATENCY,
-    ISSUE_LATENCY,
-    MEMORY_OPCODES,
-    Opcode,
-    OpClass,
-    op_class,
-)
-from repro.isa.registers import (
-    NUM_FP_REGS,
-    NUM_INT_REGS,
-    Register,
-    RegisterFile,
-    fp_reg,
-    int_reg,
-)
-from repro.isa.instruction import BranchKind, DynInst, Instruction
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BRANCH_OPCODES",
-    "BranchKind",
-    "DynInst",
-    "EXEC_LATENCY",
-    "ISSUE_LATENCY",
-    "Instruction",
-    "MEMORY_OPCODES",
-    "NUM_FP_REGS",
-    "NUM_INT_REGS",
-    "Opcode",
-    "OpClass",
-    "Register",
-    "RegisterFile",
-    "fp_reg",
-    "int_reg",
-    "op_class",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.isa.opcodes": (
+        "BRANCH_OPCODES", "EXEC_LATENCY", "ISSUE_LATENCY", "MEMORY_OPCODES",
+        "Opcode", "OpClass", "op_class",
+    ),
+    "repro.isa.registers": (
+        "NUM_FP_REGS", "NUM_INT_REGS", "Register", "RegisterFile", "fp_reg",
+        "int_reg",
+    ),
+    "repro.isa.instruction": ("BranchKind", "DynInst", "Instruction"),
+})

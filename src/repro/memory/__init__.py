@@ -6,16 +6,11 @@ clusters, and memory instructions reach them through each cluster's memory
 functional unit.
 """
 
-from repro.memory.cache import Cache, MainMemory
-from repro.memory.tlb import TLB
-from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.lsq import LoadQueue, StoreBuffer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Cache",
-    "LoadQueue",
-    "MainMemory",
-    "MemoryHierarchy",
-    "StoreBuffer",
-    "TLB",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.memory.cache": ("Cache", "MainMemory"),
+    "repro.memory.tlb": ("TLB",),
+    "repro.memory.hierarchy": ("MemoryHierarchy",),
+    "repro.memory.lsq": ("LoadQueue", "StoreBuffer"),
+})

@@ -49,113 +49,39 @@ Quickstart::
     print(registry.to_dict()["counters"])
 """
 
-from repro.obs.heartbeat import (
-    HEARTBEAT_SCHEMA_VERSION,
-    HeartbeatMonitor,
-    HeartbeatWriter,
-    heartbeat_dir,
-    read_heartbeats,
-)
-from repro.obs.manifest import (
-    MANIFEST_SCHEMA_VERSION,
-    TelemetryWriter,
-    git_dirty,
-    git_sha,
-    history_key,
-    host_fingerprint,
-    host_info,
-    load_manifest,
-    new_run_id,
-)
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    PipelineMetrics,
-)
-from repro.obs.profiler import PHASES, PhaseProfiler
-from repro.obs.server import (
-    PROMETHEUS_CONTENT_TYPE,
-    PrometheusText,
-    TelemetryServer,
-    registry_to_prometheus,
-)
-from repro.obs.spans import (
-    SPAN_SCHEMA_VERSION,
-    SPAN_STAGES,
-    Span,
-    SpanRecorder,
-    TraceContext,
-    critical_path,
-    group_traces,
-    read_spans,
-    render_critical_path,
-    render_spans,
-    spans_to_chrome,
-    trace_sampled,
-)
-from repro.obs.timeseries import (
-    DEFAULT_INTERVAL_CYCLES,
-    INTERVAL_SCHEMA_VERSION,
-    TIMELINE_PID,
-    IntervalRecorder,
-)
-from repro.obs.tracer import (
-    FETCH_LANE,
-    FILL_LANE,
-    CycleTracer,
-    MultiObserver,
-    PipelineObserver,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "CycleTracer",
-    "DEFAULT_BUCKETS",
-    "DEFAULT_INTERVAL_CYCLES",
-    "FETCH_LANE",
-    "FILL_LANE",
-    "Gauge",
-    "HEARTBEAT_SCHEMA_VERSION",
-    "HeartbeatMonitor",
-    "HeartbeatWriter",
-    "Histogram",
-    "INTERVAL_SCHEMA_VERSION",
-    "IntervalRecorder",
-    "MANIFEST_SCHEMA_VERSION",
-    "MetricsRegistry",
-    "MultiObserver",
-    "PHASES",
-    "PROMETHEUS_CONTENT_TYPE",
-    "PhaseProfiler",
-    "PipelineMetrics",
-    "PipelineObserver",
-    "PrometheusText",
-    "SPAN_SCHEMA_VERSION",
-    "SPAN_STAGES",
-    "Span",
-    "SpanRecorder",
-    "TIMELINE_PID",
-    "TelemetryServer",
-    "TelemetryWriter",
-    "TraceContext",
-    "critical_path",
-    "git_dirty",
-    "git_sha",
-    "group_traces",
-    "heartbeat_dir",
-    "history_key",
-    "host_fingerprint",
-    "host_info",
-    "load_manifest",
-    "new_run_id",
-    "read_heartbeats",
-    "read_spans",
-    "registry_to_prometheus",
-    "render_critical_path",
-    "render_spans",
-    "spans_to_chrome",
-    "trace_sampled",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.obs.heartbeat": (
+        "HEARTBEAT_SCHEMA_VERSION", "HeartbeatMonitor", "HeartbeatWriter",
+        "heartbeat_dir", "read_heartbeats",
+    ),
+    "repro.obs.manifest": (
+        "MANIFEST_SCHEMA_VERSION", "TelemetryWriter", "git_dirty", "git_sha",
+        "history_key", "host_fingerprint", "host_info", "load_manifest",
+        "new_run_id",
+    ),
+    "repro.obs.metrics": (
+        "DEFAULT_BUCKETS", "Counter", "Gauge", "Histogram", "MetricsRegistry",
+        "PipelineMetrics",
+    ),
+    "repro.obs.profiler": ("PHASES", "PhaseProfiler"),
+    "repro.obs.server": (
+        "PROMETHEUS_CONTENT_TYPE", "PrometheusText", "TelemetryServer",
+        "registry_to_prometheus",
+    ),
+    "repro.obs.spans": (
+        "SPAN_SCHEMA_VERSION", "SPAN_STAGES", "Span", "SpanRecorder",
+        "TraceContext", "critical_path", "group_traces", "read_spans",
+        "render_critical_path", "render_spans", "spans_to_chrome",
+        "trace_sampled",
+    ),
+    "repro.obs.timeseries": (
+        "DEFAULT_INTERVAL_CYCLES", "INTERVAL_SCHEMA_VERSION", "TIMELINE_PID",
+        "IntervalRecorder",
+    ),
+    "repro.obs.tracer": (
+        "FETCH_LANE", "FILL_LANE", "CycleTracer", "MultiObserver",
+        "PipelineObserver",
+    ),
+})

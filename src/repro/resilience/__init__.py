@@ -36,42 +36,18 @@ Quickstart::
     print(engine.report.render())   # ... 1 retried ...
 """
 
-from repro.resilience.chaosproxy import ChaosProxy
-from repro.resilience.faults import (
-    CRASH_EXIT_CODE,
-    FAULT_PLAN_SCHEMA_VERSION,
-    FAULT_SITES,
-    HTTP_FAULT_SITES,
-    FaultPlan,
-    FaultSpec,
-    InjectedCrash,
-    InjectedFault,
-    InjectedHang,
-)
-from repro.resilience.resume import ResumeState, load_resume_state
-from repro.resilience.retry import (
-    BREAKER_COOLDOWN_CAP,
-    CircuitBreaker,
-    deterministic_jitter,
-)
-from repro.resilience.watchdog import reap_executor, worker_processes
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BREAKER_COOLDOWN_CAP",
-    "CRASH_EXIT_CODE",
-    "ChaosProxy",
-    "CircuitBreaker",
-    "FAULT_PLAN_SCHEMA_VERSION",
-    "FAULT_SITES",
-    "FaultPlan",
-    "FaultSpec",
-    "HTTP_FAULT_SITES",
-    "InjectedCrash",
-    "InjectedFault",
-    "InjectedHang",
-    "ResumeState",
-    "deterministic_jitter",
-    "load_resume_state",
-    "reap_executor",
-    "worker_processes",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.resilience.chaosproxy": ("ChaosProxy",),
+    "repro.resilience.faults": (
+        "CRASH_EXIT_CODE", "FAULT_PLAN_SCHEMA_VERSION", "FAULT_SITES",
+        "HTTP_FAULT_SITES", "FaultPlan", "FaultSpec", "InjectedCrash",
+        "InjectedFault", "InjectedHang",
+    ),
+    "repro.resilience.resume": ("ResumeState", "load_resume_state"),
+    "repro.resilience.retry": (
+        "BREAKER_COOLDOWN_CAP", "CircuitBreaker", "deterministic_jitter",
+    ),
+    "repro.resilience.watchdog": ("reap_executor", "worker_processes"),
+})

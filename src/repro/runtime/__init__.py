@@ -47,45 +47,20 @@ Quickstart::
     print(fdrt.speedup_over(base), engine.report.render())
 """
 
-from repro.runtime.cache import (
-    CacheStats,
-    ResultCache,
-    fetch_remote_entry,
-    global_cache_stats,
-)
-from repro.runtime.executor import (
-    ExperimentEngine,
-    JobFailedError,
-    JobFailure,
-    RunInterrupted,
-    matrix_jobs,
-    run_jobs,
-)
-from repro.runtime.job import JOB_SCHEMA_VERSION, SimJob
-from repro.runtime.observe import (
-    EngineReport,
-    JobEvent,
-    progress_printer,
-    stream_is_tty,
-)
-from repro.runtime.settings import configure
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CacheStats",
-    "EngineReport",
-    "ExperimentEngine",
-    "JOB_SCHEMA_VERSION",
-    "JobEvent",
-    "JobFailedError",
-    "JobFailure",
-    "ResultCache",
-    "RunInterrupted",
-    "SimJob",
-    "configure",
-    "fetch_remote_entry",
-    "global_cache_stats",
-    "matrix_jobs",
-    "progress_printer",
-    "run_jobs",
-    "stream_is_tty",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.runtime.cache": (
+        "CacheStats", "ResultCache", "fetch_remote_entry",
+        "global_cache_stats",
+    ),
+    "repro.runtime.executor": (
+        "ExperimentEngine", "JobFailedError", "JobFailure", "RunInterrupted",
+        "matrix_jobs", "run_jobs",
+    ),
+    "repro.runtime.job": ("JOB_SCHEMA_VERSION", "SimJob"),
+    "repro.runtime.observe": (
+        "EngineReport", "JobEvent", "progress_printer", "stream_is_tty",
+    ),
+    "repro.runtime.settings": ("configure",),
+})

@@ -63,7 +63,7 @@ import tempfile
 import time
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.core.simulator import SimResult
+from repro.core.result import SimResult
 from repro.runtime.job import JOB_SCHEMA_VERSION, SimJob
 from repro.runtime.settings import (
     resolve_cache_dir,

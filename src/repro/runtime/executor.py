@@ -61,7 +61,16 @@ import time
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.simulator import SimResult
+# Fork preload: pool workers inherit this process's modules, so import
+# everything SimJob.run() reaches here, once, instead of in every fresh
+# worker: the simulator and each strategy make_strategy() can build.
+import repro.assign.fdrt  # noqa: F401
+import repro.assign.friendly  # noqa: F401
+import repro.assign.issue_time  # noqa: F401
+import repro.assign.slot  # noqa: F401
+import repro.assign.static_pc  # noqa: F401
+import repro.core.simulator  # noqa: F401
+from repro.core.result import SimResult
 from repro.obs.heartbeat import HeartbeatMonitor, HeartbeatWriter, heartbeat_dir
 from repro.obs.manifest import TelemetryWriter, new_run_id
 from repro.obs.spans import SpanRecorder, TraceContext

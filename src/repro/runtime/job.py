@@ -18,16 +18,30 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.assign.base import StrategySpec
 from repro.cluster.config import MachineConfig
-from repro.core.simulator import SimResult, simulate
-from repro.workloads.program import Program
+from repro.core.result import SimResult
+
+if TYPE_CHECKING:
+    from repro.workloads.program import Program
 
 #: Bump on any change that invalidates previously cached results.
 #: v2: SimResult carries ``width`` and top-down ``cycle_accounting``.
 JOB_SCHEMA_VERSION = 2
+
+
+def simulate(*args, **kwargs) -> SimResult:
+    """:func:`repro.core.simulator.simulate`, imported on first call.
+
+    The service hashes and stores jobs without ever running one, and a
+    worker needs the simulator only from its first job on, so neither
+    loads it at start-up.
+    """
+    from repro.core.simulator import simulate as run_simulation
+
+    return run_simulation(*args, **kwargs)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -16,7 +16,7 @@ import dataclasses
 import sys
 from typing import Callable, List, Optional, TextIO
 
-from repro.core.simulator import SimResult
+from repro.core.result import SimResult
 from repro.runtime.job import SimJob
 
 #: Event statuses, in the order a job can experience them.

@@ -36,42 +36,18 @@ local pool, or by a remote worker — the service only moves *where*
 cache sharding/eviction design.
 """
 
-from repro.service.chaos import ChaosReport, run_chaos_soak
-from repro.service.client import (
-    JobRejected,
-    RemoteJobFailed,
-    fetch_results,
-    latency_breakdown,
-    queue_snapshot,
-    render_latency,
-    submit_jobs,
-)
-from repro.service.queue import (
-    DEFAULT_LEASE_SECONDS,
-    JobQueue,
-    QueueEntry,
-    QueueReadOnly,
-)
-from repro.service.server import SERVICE_API_VERSION, ServiceServer
-from repro.service.transport import ServiceTransport
-from repro.service.worker import ServiceUnavailable, WorkerAgent
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ChaosReport",
-    "DEFAULT_LEASE_SECONDS",
-    "JobQueue",
-    "JobRejected",
-    "QueueEntry",
-    "QueueReadOnly",
-    "RemoteJobFailed",
-    "SERVICE_API_VERSION",
-    "ServiceServer",
-    "ServiceTransport",
-    "ServiceUnavailable",
-    "WorkerAgent",
-    "fetch_results",
-    "latency_breakdown",
-    "queue_snapshot",
-    "render_latency",
-    "run_chaos_soak",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.service.chaos": ("ChaosReport", "run_chaos_soak"),
+    "repro.service.client": (
+        "JobRejected", "RemoteJobFailed", "fetch_results", "latency_breakdown",
+        "queue_snapshot", "render_latency", "submit_jobs",
+    ),
+    "repro.service.queue": (
+        "DEFAULT_LEASE_SECONDS", "JobQueue", "QueueEntry", "QueueReadOnly",
+    ),
+    "repro.service.server": ("SERVICE_API_VERSION", "ServiceServer"),
+    "repro.service.transport": ("ServiceTransport",),
+    "repro.service.worker": ("ServiceUnavailable", "WorkerAgent"),
+})

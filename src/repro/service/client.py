@@ -29,7 +29,7 @@ import urllib.error
 import urllib.request
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.simulator import SimResult
+from repro.core.result import SimResult
 from repro.obs.manifest import new_run_id
 from repro.obs.spans import SpanRecorder, TraceContext
 from repro.runtime.job import SimJob

@@ -144,7 +144,10 @@ class JobQueue:
         self.directory = os.fspath(directory)
         self.lease_seconds = float(lease_seconds)
         self.journal_path = os.path.join(self.directory, "queue.jsonl")
-        self._lock = threading.RLock()
+        #: Guards every transition.  Re-entrant, so a caller can hold it
+        #: across several calls that must look atomic to other threads
+        #: (the server's completion and status paths).
+        self.lock = threading.RLock()
         self._entries: Dict[str, QueueEntry] = {}
         self._order: List[str] = []  # submission order
         self.write_errors = 0
@@ -294,7 +297,7 @@ class JobQueue:
         so every hop's spans join one trace.  A duplicate submission
         keeps the original entry's ids.
         """
-        with self._lock:
+        with self.lock:
             entry = self._entries.get(key)
             if entry is not None:
                 return entry, False
@@ -326,7 +329,7 @@ class JobQueue:
 
     def claim(self, worker: str) -> Optional[QueueEntry]:
         """Lease the oldest pending job to ``worker`` (``None`` if idle)."""
-        with self._lock:
+        with self.lock:
             self.expire()
             for key in self._order:
                 entry = self._entries[key]
@@ -355,7 +358,7 @@ class JobQueue:
 
     def renew(self, key: str, worker: Optional[str] = None) -> bool:
         """Extend a running job's lease (heartbeat path; not journaled)."""
-        with self._lock:
+        with self.lock:
             entry = self._entries.get(key)
             if entry is None or entry.state != "running":
                 return False
@@ -378,7 +381,7 @@ class JobQueue:
         line), so the in-memory transition is safe: a restart re-queues
         the entry and the next claim is served from cache instantly.
         """
-        with self._lock:
+        with self.lock:
             entry = self._entries.get(key)
             if entry is None or entry.state == "done":
                 return False
@@ -396,7 +399,7 @@ class JobQueue:
     def fail(self, key: str, reason: str,
              worker: Optional[str] = None) -> bool:
         """Mark a job failed (deterministic simulation error)."""
-        with self._lock:
+        with self.lock:
             entry = self._entries.get(key)
             if entry is None or entry.state == "done":
                 return False
@@ -419,7 +422,7 @@ class JobQueue:
         """
         now = time.time() if now is None else now
         expired = 0
-        with self._lock:
+        with self.lock:
             for key in self._order:
                 entry = self._entries[key]
                 if (entry.state == "running"
@@ -440,11 +443,11 @@ class JobQueue:
     # Views.
     # ------------------------------------------------------------------
     def get(self, key: str) -> Optional[QueueEntry]:
-        with self._lock:
+        with self.lock:
             return self._entries.get(key)
 
     def counts(self) -> Dict[str, int]:
-        with self._lock:
+        with self.lock:
             counts = {state: 0 for state in ENTRY_STATES}
             for entry in self._entries.values():
                 counts[entry.state] = counts.get(entry.state, 0) + 1
@@ -452,7 +455,7 @@ class JobQueue:
 
     def snapshot(self) -> dict:
         """The ``GET /queue`` document: depth, ages, per-state counts."""
-        with self._lock:
+        with self.lock:
             self.expire()
             now = time.time()
             counts = self.counts()
@@ -474,5 +477,5 @@ class JobQueue:
             }
 
     def __len__(self) -> int:
-        with self._lock:
+        with self.lock:
             return len(self._entries)

@@ -64,6 +64,7 @@ import time
 from collections import OrderedDict
 from typing import Optional
 
+from repro.core.result import SimResult
 from repro.obs.heartbeat import heartbeat_dir
 from repro.obs.metrics import Histogram
 from repro.obs.server import PrometheusText, TelemetryServer, _json_bytes
@@ -265,9 +266,15 @@ class ServiceServer(TelemetryServer):
                       "application/json")
 
     def _job_status(self, request, key: str) -> None:
-        entry = self.queue.get(key)
-        cached = self.cache.load_key(key)
-        if entry is None and cached is None:
+        # One snapshot under the queue lock, which _post_complete holds
+        # across its cache store and queue transition: a completion is
+        # seen whole or not at all, so ``done`` comes with its result
+        # and, for a queued job, its ``times.finished``.
+        with self.queue.lock:
+            entry = self.queue.get(key)
+            view = entry.public() if entry is not None else None
+            cached = self.cache.load_key(key)
+        if view is None and cached is None:
             self._respond(request, 404,
                           _json_bytes({
                               "error": f"unknown job {key}",
@@ -276,8 +283,8 @@ class ServiceServer(TelemetryServer):
                           "application/json")
             return
         document = {"key": key, "api": SERVICE_API_VERSION}
-        if entry is not None:
-            document.update(entry.public())
+        if view is not None:
+            document.update(view)
         if cached is not None:
             document["state"] = "done"
             document["result"] = cached.get("result")
@@ -541,24 +548,27 @@ class ServiceServer(TelemetryServer):
             return 404, {"error": f"unknown job {key}"}
         try:
             job = SimJob.from_canonical(entry.payload)
-            from repro.core.simulator import SimResult
             sim_result = SimResult.from_dict(result)
         except (KeyError, ValueError, TypeError) as error:
             return 400, {"error": f"invalid result payload: {error}"}
         elapsed = body.get("elapsed")
         # Cache first, then journal: if we die between the two the
         # restarted server finds the key cached and answers done anyway.
-        try:
-            self.cache.store(job, sim_result, elapsed=elapsed)
-        except OSError as error:
-            # Full disk (real or injected): without the cached result
-            # the completion has no durable half, so refuse it — the
-            # worker retries, and past its budget the lease expires and
-            # the job re-queues.  State stays consistent either way.
-            return 503, {"error": f"cache store failed: {error}"}, \
-                {"Retry-After": SHED_RETRY_AFTER}
-        accepted = self.queue.complete(
-            key, worker=body.get("worker"), elapsed=elapsed)
+        # Both under the queue lock, so _job_status never sees one
+        # without the other.
+        with self.queue.lock:
+            try:
+                self.cache.store(job, sim_result, elapsed=elapsed)
+            except OSError as error:
+                # Full disk (real or injected): without the cached
+                # result the completion has no durable half, so refuse
+                # it — the worker retries, and past its budget the lease
+                # expires and the job re-queues.  State stays consistent
+                # either way.
+                return 503, {"error": f"cache store failed: {error}"}, \
+                    {"Retry-After": SHED_RETRY_AFTER}
+            accepted = self.queue.complete(
+                key, worker=body.get("worker"), elapsed=elapsed)
         return 200, {"key": key, "accepted": accepted, "state": "done"}
 
     def _post_fail(self, body: dict):

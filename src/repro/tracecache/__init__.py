@@ -14,15 +14,10 @@ marker, which carry inter-trace dependency feedback between dynamic
 executions of the same instruction.
 """
 
-from repro.tracecache.trace import TraceKey, TraceLine, TraceSlot
-from repro.tracecache.trace_cache import TraceCache
-from repro.tracecache.fill_unit import FillUnit, PendingTrace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FillUnit",
-    "PendingTrace",
-    "TraceCache",
-    "TraceKey",
-    "TraceLine",
-    "TraceSlot",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.tracecache.trace": ("TraceKey", "TraceLine", "TraceSlot"),
+    "repro.tracecache.trace_cache": ("TraceCache",),
+    "repro.tracecache.fill_unit": ("FillUnit", "PendingTrace"),
+})

@@ -16,62 +16,25 @@ how predictable the branches are — so the substitution preserves the
 behaviour the paper's experiments measure.
 """
 
-from repro.workloads.program import (
-    AddressStream,
-    BasicBlock,
-    BiasedBranch,
-    BranchBehavior,
-    LoopBranch,
-    PatternBranch,
-    Program,
-    RandomStream,
-    StrideStream,
-)
-from repro.workloads.profiles import WorkloadProfile, profile_for
-from repro.workloads.generator import (
-    PHASE_SEGMENT_KINDS,
-    generate_phased_program,
-    generate_program,
-    phased_program,
-)
-from repro.workloads.execution import FunctionalSimulator
-from repro.workloads.suites import (
-    MEDIABENCH,
-    SPECINT2000,
-    SPECINT2000_SELECTED,
-)
-from repro.workloads.trace_io import (
-    TraceReader,
-    open_trace,
-    record_trace,
-    write_trace,
-)
-from repro.workloads.validation import StreamStatistics, measure_stream
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AddressStream",
-    "BasicBlock",
-    "BiasedBranch",
-    "BranchBehavior",
-    "FunctionalSimulator",
-    "LoopBranch",
-    "MEDIABENCH",
-    "PHASE_SEGMENT_KINDS",
-    "PatternBranch",
-    "Program",
-    "RandomStream",
-    "SPECINT2000",
-    "SPECINT2000_SELECTED",
-    "StreamStatistics",
-    "StrideStream",
-    "TraceReader",
-    "WorkloadProfile",
-    "generate_phased_program",
-    "generate_program",
-    "measure_stream",
-    "open_trace",
-    "phased_program",
-    "profile_for",
-    "record_trace",
-    "write_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.workloads.program": (
+        "AddressStream", "BasicBlock", "BiasedBranch", "BranchBehavior",
+        "LoopBranch", "PatternBranch", "Program", "RandomStream",
+        "StrideStream",
+    ),
+    "repro.workloads.profiles": ("WorkloadProfile", "profile_for"),
+    "repro.workloads.generator": (
+        "PHASE_SEGMENT_KINDS", "generate_phased_program", "generate_program",
+        "phased_program",
+    ),
+    "repro.workloads.execution": ("FunctionalSimulator",),
+    "repro.workloads.suites": (
+        "MEDIABENCH", "SPECINT2000", "SPECINT2000_SELECTED",
+    ),
+    "repro.workloads.trace_io": (
+        "TraceReader", "open_trace", "record_trace", "write_trace",
+    ),
+    "repro.workloads.validation": ("StreamStatistics", "measure_stream"),
+})

@@ -186,3 +186,26 @@ class TestAnalyzeUsage:
         err = capsys.readouterr().err
         assert code == 2
         assert "cannot read manifest" in err
+
+
+class TestEngineFailureExitCode:
+    def test_job_failed_error_exits_one(self, capsys, monkeypatch):
+        import repro.cli as cli
+        from repro.runtime.executor import JobFailedError
+
+        def failing(_args):
+            raise JobFailedError([])
+
+        monkeypatch.setattr(cli, "_cmd_list", failing)
+        assert main(["list"]) == 1
+        assert "still failing" in capsys.readouterr().err
+
+    def test_other_runtime_errors_propagate(self, monkeypatch):
+        import repro.cli as cli
+
+        def broken(_args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_list", broken)
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["list"])

@@ -2,6 +2,7 @@
 
 import json
 import os
+import threading
 import urllib.error
 import urllib.request
 
@@ -228,6 +229,72 @@ class TestWorkerProtocol:
     def test_cache_endpoint_misses_cleanly(self, server):
         status, document = get(server.url, "/cache/" + "f" * 64)
         assert status == 404 and "miss" in document["error"]
+
+
+class TestStatusSnapshot:
+    """``GET /jobs/<key>`` never shows half a completion: ``done``
+    always comes with ``result`` and ``times.finished``."""
+
+    #: How long a racing thread gets to land (it must not, under the lock).
+    RACE_WINDOW = 0.2
+
+    def _claimed(self, server):
+        job = make_job()
+        post(server.url, "/jobs", job.canonical())
+        post(server.url, "/claim", {"worker": "w1"})
+        return job, {"key": job.key, "worker": "w1",
+                     "result": make_result().to_dict(), "elapsed": 0.5}
+
+    @staticmethod
+    def _assert_whole(document):
+        if document["state"] == "done":
+            assert "result" in document
+            assert "finished" in document["times"]
+
+    def test_completion_between_the_status_reads(self, server, monkeypatch):
+        job, completion = self._claimed(server)
+        racer = threading.Thread(target=server._post_complete,
+                                 args=(completion,))
+        real_load = server.cache.load_key
+
+        def load_then_complete(key):
+            # The queue entry is read; land a completion before replying.
+            payload = real_load(key)
+            if racer.ident is None:
+                racer.start()
+                racer.join(self.RACE_WINDOW)
+            return payload
+
+        monkeypatch.setattr(server.cache, "load_key", load_then_complete)
+        _, racing = get(server.url, f"/jobs/{job.key}")
+        racer.join(10)
+        assert not racer.is_alive()
+        _, settled = get(server.url, f"/jobs/{job.key}")
+        self._assert_whole(racing)
+        assert racing["state"] == "running"
+        self._assert_whole(settled)
+        assert settled["state"] == "done"
+
+    def test_status_between_store_and_queue_transition(self, server,
+                                                      monkeypatch):
+        job, completion = self._claimed(server)
+        documents = []
+        poller = threading.Thread(target=lambda: documents.append(
+            get(server.url, f"/jobs/{job.key}")[1]))
+        real_complete = server.queue.complete
+
+        def poll_then_complete(*args, **kwargs):
+            # The result is cached; poll before the queue records it.
+            poller.start()
+            poller.join(self.RACE_WINDOW)
+            return real_complete(*args, **kwargs)
+
+        monkeypatch.setattr(server.queue, "complete", poll_then_complete)
+        server._post_complete(completion)
+        poller.join(10)
+        assert not poller.is_alive()
+        self._assert_whole(documents[0])
+        assert documents[0]["state"] == "done"
 
 
 class TestMetricsAndCompat:
