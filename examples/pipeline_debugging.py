@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Pipeline introspection: lifetimes, stall attribution, energy.
+"""Pipeline introspection: lifetimes, cycle accounting, energy.
 
 Demonstrates the diagnostic tooling: where instructions spend their
-cycles, why the ROB head stalls, which clusters and units carry the
+cycles, why retire slots go unfilled, which clusters and units carry the
 load, and where the (relative) energy goes.
 
     python examples/pipeline_debugging.py [benchmark]
@@ -12,7 +12,7 @@ import sys
 
 from repro import Simulator, StrategySpec
 from repro.analysis import collect_utilization, estimate_energy
-from repro.core.debug import LifetimeRecorder, StallAttributor
+from repro.core.debug import LifetimeRecorder
 
 
 def main() -> None:
@@ -30,10 +30,11 @@ def main() -> None:
     print(recorder.diagram(max_rows=16))
     print(f"mean fetch-to-retire latency: {recorder.mean_latency():.1f} cycles")
 
-    print("\n--- ROB-head stall attribution (2000 cycles) ---")
-    attributor = StallAttributor(pipeline)
-    attributor.run(2000)
-    print(attributor.render())
+    print("\n--- cycle accounting (2000 cycles) ---")
+    pipeline.accounting.reset()
+    for _ in range(2000):
+        pipeline.step()
+    print(pipeline.accounting.render())
 
     print("\n--- utilization ---")
     print(collect_utilization(pipeline).render())

@@ -95,24 +95,23 @@ def train_static_assignment(
     """
     from repro.assign.base import StrategySpec
     from repro.core.simulator import Simulator
+    from repro.obs.tracer import PipelineObserver
 
     simulator = Simulator(benchmark, StrategySpec(kind="base"),
                           config=config, seed=seed)
     pipeline = simulator.pipeline
     exec_weight: Counter = Counter()
     producer_votes: Dict[int, Counter] = defaultdict(Counter)
-    original = pipeline.fill_unit.retire
 
-    def observe(inst, now):
-        pc = inst.static.pc
-        exec_weight[pc] += 1
-        if inst.critical_forwarded and inst.critical_producer is not None:
-            producer_votes[pc][inst.critical_producer.static.pc] += 1
-        original(inst, now)
+    class Votes(PipelineObserver):
+        def on_retire(self, inst, now):
+            pc = inst.static.pc
+            exec_weight[pc] += 1
+            if inst.critical_forwarded and inst.critical_producer is not None:
+                producer_votes[pc][inst.critical_producer.static.pc] += 1
 
-    pipeline.fill_unit.retire = observe
-    pipeline.run(warmup + train_instructions)
-    pipeline.fill_unit.retire = original
+    with Votes().attach(pipeline):
+        pipeline.run(warmup + train_instructions)
 
     num_clusters = pipeline.config.num_clusters
     total = sum(exec_weight.values())

@@ -1,32 +1,26 @@
-"""Pipeline debugging and stall-attribution tooling.
+"""Pipeline debugging tooling.
 
-Two facilities a cycle-level simulator needs in practice:
+:class:`LifetimeRecorder` captures per-instruction lifetime records
+(fetch/issue/dispatch/complete/retire cycles plus provenance and
+placement) over a window, and renders classic text pipeline diagrams::
 
-* :class:`LifetimeRecorder` — captures per-instruction lifetime records
-  (fetch/issue/dispatch/complete/retire cycles plus provenance and
-  placement) over a window, and renders classic text pipeline diagrams::
+    seq  pc       op     cl  F.....I..D.E....R
+    512  0x12a4   LOAD    2  |F    I D  E    R|
 
-      seq  pc       op     cl  F.....I..D.E....R
-      512  0x12a4   LOAD    2  |F    I D  E    R|
-
-* :class:`StallAttributor` — classifies, cycle by cycle, why the ROB
-  head failed to retire (waiting on execution, memory, front-end empty,
-  ...), producing the CPI-stack-style breakdown used when diagnosing why
-  a placement policy's forwarding gains do or don't become IPC.
+For why retire slots go unfilled — the CPI-stack breakdown used when
+diagnosing whether a placement policy's forwarding gains become IPC —
+read the always-on :class:`~repro.core.accounting.CycleAccounting` at
+``pipeline.accounting``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
-from typing import Dict, List
+from typing import List
 
-from repro.core.accounting import (  # noqa: F401  (re-export)
-    CYCLE_LOSS_CATEGORIES,
-    CycleAccounting,
-)
 from repro.core.pipeline import Pipeline
 from repro.isa import DynInst
+from repro.obs.tracer import PipelineObserver
 
 
 @dataclasses.dataclass(frozen=True)
@@ -50,17 +44,16 @@ class Lifetime:
         return self.retire - self.fetch
 
 
-class LifetimeRecorder:
-    """Records lifetimes of retiring instructions via the fill unit hook."""
+class LifetimeRecorder(PipelineObserver):
+    """Records lifetimes of retiring instructions (attached on creation;
+    :meth:`detach` or a ``with`` block ends the window)."""
 
     def __init__(self, pipeline: Pipeline, capacity: int = 1024) -> None:
         self.capacity = capacity
         self.records: List[Lifetime] = []
-        self._pipeline = pipeline
-        self._original = pipeline.fill_unit.retire
-        pipeline.fill_unit.retire = self._observe
+        self.attach(pipeline)
 
-    def _observe(self, inst: DynInst, now: int) -> None:
+    def on_retire(self, inst: DynInst, now: int) -> None:
         if len(self.records) < self.capacity:
             self.records.append(Lifetime(
                 seq=inst.seq,
@@ -74,18 +67,6 @@ class LifetimeRecorder:
                 complete=inst.complete_cycle,
                 retire=inst.retire_cycle,
             ))
-        self._original(inst, now)
-
-    def detach(self) -> None:
-        """Stop recording and restore the fill unit hook."""
-        self._pipeline.fill_unit.retire = self._original
-
-    def __enter__(self) -> "LifetimeRecorder":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        # Restore the hook even when the traced run raises mid-window.
-        self.detach()
 
     def diagram(self, max_rows: int = 20, width: int = 64) -> str:
         """Text pipeline diagram of the recorded window."""
@@ -117,90 +98,3 @@ class LifetimeRecorder:
         if not self.records:
             return 0.0
         return sum(r.latency for r in self.records) / len(self.records)
-
-
-#: Stall categories reported by :class:`StallAttributor`.
-STALL_CATEGORIES = (
-    "retiring",        # the head retired this cycle
-    "empty",           # ROB empty (front-end starved)
-    "exec_wait",       # head dispatched, executing a non-memory op
-    "mem_wait",        # head dispatched, executing a memory op
-    "not_dispatched",  # head still waiting in a reservation station
-)
-
-
-class StallAttributor:
-    """Classifies every cycle by the state of the ROB head.
-
-    Counts are kept both overall (:attr:`counts`) and per cluster
-    (:attr:`cluster_counts`, keyed ``(cluster, category)`` with cluster
-    ``-1`` for empty-window cycles), so the CPI stack can be broken
-    down by where the blocking instruction was placed.  For full
-    retire-*slot* accounting — the per-category decomposition of the
-    IPC gap versus the ideal-width machine — see the always-on
-    :class:`CycleAccounting` at ``pipeline.accounting``.
-    """
-
-    def __init__(self, pipeline: Pipeline) -> None:
-        self.pipeline = pipeline
-        self.counts: Counter = Counter()
-        self.cluster_counts: Counter = Counter()
-
-    def observe_cycle(self) -> str:
-        """Classify the current cycle (call once per cycle, then step)."""
-        pipeline = self.pipeline
-        now = pipeline.now
-        cluster = -1
-        if not pipeline.rob:
-            category = "empty"
-        else:
-            head = pipeline.rob[0]
-            cluster = head.cluster
-            if head.complete_cycle >= 0 and head.complete_cycle <= now:
-                category = "retiring"
-            elif head.dispatch_cycle >= 0:
-                category = "mem_wait" if head.static.is_mem else "exec_wait"
-            else:
-                category = "not_dispatched"
-        self.counts[category] += 1
-        self.cluster_counts[(cluster, category)] += 1
-        return category
-
-    def run(self, cycles: int) -> Dict[str, float]:
-        """Step the pipeline ``cycles`` times, attributing each cycle."""
-        for _ in range(cycles):
-            self.observe_cycle()
-            self.pipeline.step()
-        return self.breakdown()
-
-    def breakdown(self) -> Dict[str, float]:
-        """Fractions per category (sums to 1 over observed cycles)."""
-        total = sum(self.counts.values()) or 1
-        return {cat: self.counts.get(cat, 0) / total
-                for cat in STALL_CATEGORIES}
-
-    def render(self) -> str:
-        """Human-readable attribution report."""
-        breakdown = self.breakdown()
-        lines = ["ROB-head cycle attribution:"]
-        for category in STALL_CATEGORIES:
-            lines.append(f"  {category:<15} {breakdown[category]:.1%}")
-        return "\n".join(lines)
-
-    def publish(self, registry, prefix: str = "stall") -> None:
-        """Publish the CPI stack into a :class:`repro.obs.MetricsRegistry`
-        (absolute cycle counts plus fractions; :meth:`breakdown` keeps
-        its existing shape)."""
-        breakdown = self.breakdown()
-        for category in STALL_CATEGORIES:
-            registry.counter(
-                f"{prefix}.cycles", category=category,
-            ).inc(self.counts.get(category, 0))
-            registry.gauge(
-                f"{prefix}.fraction", category=category,
-            ).set(breakdown[category])
-        for (cluster, category), cycles in self.cluster_counts.items():
-            registry.counter(
-                f"{prefix}.cluster_cycles",
-                cluster=cluster, category=category,
-            ).inc(cycles)

@@ -51,6 +51,9 @@ from repro.workloads.program import Program
 #: Cycles without a retirement before the simulator declares deadlock.
 _WATCHDOG_CYCLES = 50_000
 
+#: ``next_due`` while no periodic tap is registered.
+_NEVER = 1 << 62
+
 
 class Pipeline:
     """The assembled CTCP timing simulator."""
@@ -103,28 +106,15 @@ class Pipeline:
             for i in range(config.num_clusters)
         ]
         self.regfile = RegisterFile()
-        #: Optional :class:`repro.obs.tracer.PipelineObserver`.  ``None``
-        #: (the default) keeps the hot paths at one attribute test per
-        #: event; attach via ``observer.attach(pipeline)``.
-        self.observer = None
-        #: Optional :class:`repro.obs.profiler.PhaseProfiler` timing the
-        #: step phases; same ``is not None`` fast path as ``observer``.
-        self.profiler = None
-        #: Optional in-run progress hook ``hook(pipeline)`` invoked every
-        #: ``progress_interval`` cycles inside :meth:`run` (e.g. a
-        #: :class:`repro.obs.heartbeat.HeartbeatWriter`).  Hooks must
-        #: only *read* pipeline state: results stay byte-identical with
-        #: a hook installed or not.
-        self.progress_hook = None
-        self.progress_interval = 0
-        self._next_progress = 0
-        #: Optional interval sampler ``sampler(pipeline)`` invoked every
-        #: ``sample_interval`` cycles inside :meth:`run` (an
-        #: :class:`repro.obs.timeseries.IntervalRecorder`).  Read-only,
-        #: same ``is not None`` fast path as ``progress_hook``.
-        self.sampler = None
-        self.sample_interval = 0
-        self._next_sample = 0
+        #: Per-event taps: a tuple of
+        #: :class:`repro.obs.tracer.PipelineObserver`, mirrored on
+        #: ``fill_unit.observers``.  Empty (the default) costs one truth
+        #: test per event; attach via ``observer.attach(pipeline)``.
+        self.observers: Tuple = ()
+        #: Periodic taps: ``[due, interval, callback]`` entries that
+        #: :meth:`run` fires in list order once ``now >= due`` (see
+        #: :meth:`schedule`).
+        self.periodic: List[list] = []
         #: Always-on top-down cycle-loss attribution (read-only over the
         #: machine state, so it cannot perturb timing).
         self.accounting = CycleAccounting(config.width)
@@ -156,19 +146,13 @@ class Pipeline:
     def run(self, max_instructions: int) -> SimStats:
         """Simulate until ``max_instructions`` retire (or stream ends)."""
         target = self.stats.retired + max_instructions
-        hook = self.progress_hook
-        sampler = self.sampler
+        next_due = min((entry[0] for entry in self.periodic), default=_NEVER)
         while self.stats.retired < target:
             if self._drained():
                 break
             self.step()
-            if sampler is not None and self.now >= self._next_sample:
-                self._next_sample = self.now + max(1, self.sample_interval)
-                sampler(self)
-            if hook is not None and self.now >= self._next_progress:
-                self._next_progress = self.now + max(
-                    1, self.progress_interval)
-                hook(self)
+            if self.now >= next_due:
+                next_due = self._fire_periodic()
             if self.now - self._last_retire_cycle > _WATCHDOG_CYCLES:
                 raise RuntimeError(
                     f"pipeline deadlock at cycle {self.now}: "
@@ -193,13 +177,40 @@ class Pipeline:
             and not self.frontend
         )
 
+    def schedule(self, callback, interval: int, due: int,
+                 first: bool = False) -> None:
+        """Call ``callback(pipeline)`` from :meth:`run` after the first
+        cycle with ``now >= due``, then every ``interval`` cycles.
+
+        ``first`` fires it ahead of the taps already registered (an
+        :class:`repro.obs.timeseries.IntervalRecorder` ahead of progress
+        hooks).  Callbacks only *read* pipeline state: results stay
+        byte-identical with any tap registered.
+        """
+        entry = [due, interval, callback]
+        if first:
+            self.periodic.insert(0, entry)
+        else:
+            self.periodic.append(entry)
+
+    def unschedule(self, callback) -> None:
+        """Remove the periodic taps that call ``callback``."""
+        self.periodic[:] = [
+            entry for entry in self.periodic if entry[2] is not callback]
+
+    def _fire_periodic(self) -> int:
+        """Fire every periodic tap that is due; return the next due."""
+        now = self.now
+        for entry in tuple(self.periodic):
+            if now >= entry[0]:
+                entry[0] = now + entry[1]
+                entry[2](self)
+        return min((entry[0] for entry in self.periodic), default=_NEVER)
+
     # ------------------------------------------------------------------
     # One cycle.
     # ------------------------------------------------------------------
     def step(self) -> None:
-        profiler = self.profiler
-        if profiler is not None:
-            return self._step_profiled(profiler)
         now = self.now
         retired_before = self.stats.retired
         self._retire(now)
@@ -213,31 +224,6 @@ class Pipeline:
         self.stats.cycles += 1
         self.now = now + 1
 
-    def _step_profiled(self, profiler) -> None:
-        """One cycle with per-phase wall-clock timing.
-
-        Must mirror :meth:`step` exactly — same calls, same order — so
-        a profiled run is byte-identical to an unprofiled one; the only
-        additions are clock reads between phases.
-        """
-        clock = profiler._clock
-        now = self.now
-        retired_before = self.stats.retired
-        t0 = clock()
-        self._retire(now)
-        self.accounting.observe(self, self.stats.retired - retired_before)
-        self._execute(now)
-        t1 = clock()
-        self.fill_unit.tick(now)
-        t2 = clock()
-        self._issue(now)
-        t3 = clock()
-        self._fetch(now)
-        t4 = clock()
-        profiler.account(t1 - t0, t2 - t1, t3 - t2, t4 - t3, now)
-        self.stats.cycles += 1
-        self.now = now + 1
-
     # ------------------------------------------------------------------
     # Retire.
     # ------------------------------------------------------------------
@@ -246,7 +232,7 @@ class Pipeline:
         retired = 0
         last_seq = -1
         width = self.config.width
-        observer = self.observer
+        observers = self.observers
         while rob and retired < width:
             head = rob[0]
             if head.complete_cycle < 0 or head.complete_cycle > now:
@@ -259,8 +245,9 @@ class Pipeline:
             if head.static.is_store:
                 self._inflight_stores -= 1
             self.fill_unit.retire(head, now)
-            if observer is not None:
-                observer.on_retire(head, now)
+            if observers:
+                for observer in observers:
+                    observer.on_retire(head, now)
             self.stats.retired += 1
             if head.from_trace_cache:
                 self.stats.retired_from_tc += 1
@@ -380,8 +367,10 @@ class Pipeline:
         else:
             inst.complete_cycle = now + exec_latency
         self.stats.record_critical(inst, self.interconnect)
-        if self.observer is not None:
-            self.observer.on_dispatch(inst, now)
+        observers = self.observers
+        if observers:
+            for observer in observers:
+                observer.on_dispatch(inst, now)
         if self.strategy.uses_chains:
             self._chain_feedback(inst)
 
@@ -550,8 +539,10 @@ class Pipeline:
         packet, extra_delay = self.fetch_engine.fetch(now)
         if not packet:
             return
-        if self.observer is not None:
-            self.observer.on_fetch(packet, now)
+        observers = self.observers
+        if observers:
+            for observer in observers:
+                observer.on_fetch(packet, now)
         ready = now + self._frontend_depth + extra_delay
         regfile = self.regfile
         for inst in packet:

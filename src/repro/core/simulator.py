@@ -44,20 +44,25 @@ class Simulator:
         self.spec = spec if spec is not None else StrategySpec(kind="fdrt")
         self.config = config if config is not None else MachineConfig()
         self.pipeline = Pipeline(self.program, self.config, self.spec, seed=seed)
+        #: The hook :meth:`progress` registered on ``pipeline``.
+        self._progress_hook = None
 
     def progress(self, hook, every: int = 2_000) -> None:
         """Install an in-run progress hook, called every ``every`` cycles.
 
-        ``hook(pipeline)`` fires inside :meth:`run`/:meth:`warmup` loops
-        (e.g. a :class:`repro.obs.heartbeat.HeartbeatWriter` beating
-        live worker state to disk).  Hooks must only read pipeline
-        state; simulated results are byte-identical with or without
-        one.  Pass ``hook=None`` to uninstall.
+        ``hook(pipeline)`` first fires after the next simulated cycle
+        inside :meth:`run`/:meth:`warmup` loops (e.g. a
+        :class:`repro.obs.heartbeat.HeartbeatWriter` beating live worker
+        state to disk).  Hooks must only read pipeline state; simulated
+        results are byte-identical with or without one.  Pass
+        ``hook=None`` to uninstall.
         """
         if every <= 0:
             raise ValueError(f"progress interval must be positive: {every}")
-        self.pipeline.progress_hook = hook
-        self.pipeline.progress_interval = every
+        self.pipeline.unschedule(self._progress_hook)
+        self._progress_hook = hook
+        if hook is not None:
+            self.pipeline.schedule(hook, every, due=self.pipeline.now)
 
     def warmup(self, instructions: int) -> None:
         """Run ``instructions`` then zero statistics (state preserved)."""

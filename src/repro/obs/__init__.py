@@ -9,9 +9,10 @@ Three pillars (see ``docs/OBSERVABILITY.md``):
 * :class:`CycleTracer` — a per-cycle pipeline tracer emitting Chrome
   trace-event JSON viewable in Perfetto, one lane per cluster plus
   fetch and fill-unit lanes (:mod:`repro.obs.tracer`).  The underlying
-  :class:`PipelineObserver` hook protocol costs one ``is not None``
-  test per event when nothing is attached, so untraced runs are
-  byte-identical to pre-observability builds.
+  :class:`PipelineObserver` hook protocol appends to the pipeline's
+  ``observers`` tuple, which costs one truth test per event when
+  empty, so untraced runs are byte-identical to pre-observability
+  builds.
 * :class:`TelemetryWriter` — structured JSONL event logs and
   machine-readable ``manifest.json`` run manifests for the experiment
   engine (:mod:`repro.obs.manifest`), enabled with ``--telemetry-dir``
@@ -41,9 +42,8 @@ Quickstart::
     simulator = Simulator("gzip", StrategySpec(kind="fdrt"))
     registry = MetricsRegistry()
     tracer = CycleTracer(capacity=50_000)
-    from repro.obs import MultiObserver
-    with MultiObserver(tracer, PipelineMetrics(registry)).attach(
-            simulator.pipeline):
+    with tracer.attach(simulator.pipeline), \
+            PipelineMetrics(registry).attach(simulator.pipeline):
         simulator.run(20_000)
     tracer.write("trace.json")          # open in https://ui.perfetto.dev
     print(registry.to_dict()["counters"])
@@ -81,7 +81,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "IntervalRecorder",
     ),
     "repro.obs.tracer": (
-        "FETCH_LANE", "FILL_LANE", "CycleTracer", "MultiObserver",
-        "PipelineObserver",
+        "FETCH_LANE", "FILL_LANE", "CycleTracer", "PipelineObserver",
     ),
 })

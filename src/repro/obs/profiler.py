@@ -15,11 +15,12 @@ split into the four pipeline phases —
     fill-unit trace construction and installs
 
 — and the profiler accumulates seconds per phase, optionally bucketed
-into fixed-cycle-width samples for flame-chart export.  It hangs off
-the same ``is not None`` fast-path slot as the pipeline observers
-(``pipeline.profiler``), so unprofiled runs cost one attribute test per
-cycle, and the profiled step only *times* the existing phase calls —
-simulated results are byte-identical with the profiler on or off.
+into fixed-cycle-width samples for flame-chart export.  Attaching puts
+timing wrappers on the pipeline *instance* around the stage calls of
+:meth:`Pipeline.step` (five clock reads per cycle); detaching deletes
+them, so unprofiled runs pay nothing, and the wrappers only *time* the
+existing stage calls — simulated results are byte-identical with the
+profiler on or off.
 
 Outputs:
 
@@ -84,18 +85,54 @@ class PhaseProfiler:
     # Attachment lifecycle (mirrors PipelineObserver's).
     # ------------------------------------------------------------------
     def attach(self, pipeline) -> "PhaseProfiler":
-        if pipeline.profiler is not None:
+        """Wrap the pipeline's stage calls in clock stamps.
+
+        The clock reads before ``_retire`` and after ``_execute``,
+        ``fill_unit.tick``, ``_issue`` and ``_fetch``, so ``execute``
+        covers retire + cycle accounting + dispatch, as in :data:`PHASES`.
+        """
+        if self._pipeline is not None or "_fetch" in vars(pipeline):
             raise RuntimeError("pipeline already has a profiler attached")
+        clock, account = self._clock, self.account
+        retire, execute = pipeline._retire, pipeline._execute
+        tick, issue, fetch = (
+            pipeline.fill_unit.tick, pipeline._issue, pipeline._fetch)
+        stamps = [0.0, 0.0, 0.0, 0.0]
+
+        def timed_retire(now):
+            stamps[0] = clock()
+            retire(now)
+
+        def timed_execute(now):
+            execute(now)
+            stamps[1] = clock()
+
+        def timed_tick(now):
+            tick(now)
+            stamps[2] = clock()
+
+        def timed_issue(now):
+            issue(now)
+            stamps[3] = clock()
+
+        def timed_fetch(now):
+            fetch(now)
+            t0, t1, t2, t3 = stamps
+            account(t1 - t0, t2 - t1, t3 - t2, clock() - t3, now)
+
+        pipeline._retire, pipeline._execute = timed_retire, timed_execute
+        pipeline._issue, pipeline._fetch = timed_issue, timed_fetch
+        pipeline.fill_unit.tick = timed_tick
         self._pipeline = pipeline
-        pipeline.profiler = self
         return self
 
     def detach(self) -> None:
         pipeline = self._pipeline
         if pipeline is None:
             return
-        if pipeline.profiler is self:
-            pipeline.profiler = None
+        for name in ("_retire", "_execute", "_issue", "_fetch"):
+            del pipeline.__dict__[name]
+        del pipeline.fill_unit.__dict__["tick"]
         self._pipeline = None
         self._flush_sample()
 
@@ -106,7 +143,7 @@ class PhaseProfiler:
         self.detach()
 
     # ------------------------------------------------------------------
-    # Accounting (called once per profiled step by the pipeline).
+    # Accounting (called once per profiled step by the fetch wrapper).
     # ------------------------------------------------------------------
     def account(self, execute: float, fill: float, assign: float,
                 fetch: float, cycle: int) -> None:

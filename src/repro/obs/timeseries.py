@@ -2,14 +2,15 @@
 
 Every observability layer so far reports *whole-run aggregates*; the
 :class:`IntervalRecorder` adds the time axis.  Attached to a pipeline it
-rides the same ``is not None`` fast-path slot discipline as the
-observer/profiler/progress hooks (``pipeline.sampler``): every
-``interval_cycles`` simulated cycles the :meth:`Pipeline.run` loop calls
-the recorder once, and the recorder snapshots *deltas* of the counters
-that already exist — IPC, per-cluster reservation-station occupancy,
-``rs_full`` and ``fetch_starve`` pressure, inter-cluster forwarding
-traffic, trace-cache hit rate, and the full top-down cycle-accounting
-category vector — into one **window** record.  Windows live in a ring
+joins the periodic schedule that progress hooks share
+(:meth:`Pipeline.schedule`): every ``interval_cycles`` simulated cycles
+the :meth:`Pipeline.run` loop calls the recorder once — before any
+progress hook due in the same cycle — and the recorder snapshots
+*deltas* of the counters that already exist — IPC, per-cluster
+reservation-station occupancy, ``rs_full`` and ``fetch_starve``
+pressure, inter-cluster forwarding traffic, trace-cache hit rate, and
+the full top-down cycle-accounting category vector — into one
+**window** record.  Windows live in a ring
 buffer (:attr:`dropped` counts evictions), export as JSONL or as
 Chrome-trace counter tracks (pid 2, merging with
 :meth:`~repro.obs.tracer.CycleTracer.to_chrome_trace` and
@@ -18,7 +19,7 @@ Chrome-trace counter tracks (pid 2, merging with
 
 The recorder only *reads* pipeline state, so a recorded run is
 byte-identical to an unrecorded one, and an unrecorded run pays one
-attribute test per cycle — the same contract as every other hook.
+integer comparison per cycle — the same contract as every other tap.
 
 Window record shape (:data:`INTERVAL_SCHEMA_VERSION`):
 
@@ -107,8 +108,8 @@ class IntervalRecorder:
     # Attachment lifecycle (mirrors PhaseProfiler's).
     # ------------------------------------------------------------------
     def attach(self, pipeline) -> "IntervalRecorder":
-        if pipeline.sampler is not None:
-            raise RuntimeError("pipeline already has a sampler attached")
+        if self._pipeline is not None:
+            raise RuntimeError("recorder is already attached")
         self._pipeline = pipeline
         self._width = pipeline.config.width
         self._rs_capacity = sum(
@@ -117,11 +118,13 @@ class IntervalRecorder:
             for station in cluster.stations.values()
         )
         self._base = self._snapshot(pipeline)
-        pipeline.sampler = self
-        pipeline.sample_interval = self.interval_cycles
         # First window closes a full interval after attach (never an
-        # immediate empty window at the attach cycle).
-        pipeline._next_sample = pipeline.now + self.interval_cycles
+        # immediate empty window at the attach cycle).  Registered ahead
+        # of progress hooks: a heartbeat due in the same cycle carries
+        # the window that just closed.
+        pipeline.schedule(self, self.interval_cycles,
+                          due=pipeline.now + self.interval_cycles,
+                          first=True)
         return self
 
     def detach(self) -> None:
@@ -129,9 +132,7 @@ class IntervalRecorder:
         if pipeline is None:
             return
         self.finish()
-        if pipeline.sampler is self:
-            pipeline.sampler = None
-            pipeline.sample_interval = 0
+        pipeline.unschedule(self)
         self._pipeline = None
 
     def __enter__(self) -> "IntervalRecorder":
@@ -141,23 +142,10 @@ class IntervalRecorder:
         self.detach()
 
     # ------------------------------------------------------------------
-    # Sampling (called by the pipeline run loop every interval).
+    # Sampling (called by the pipeline's periodic schedule).
     # ------------------------------------------------------------------
     def __call__(self, pipeline) -> None:
-        snapshot = self._snapshot(pipeline)
-        self._append_window(snapshot, pipeline)
-        self._base = snapshot
-
-    def rebase(self) -> None:
-        """Restart delta tracking from the pipeline's current counters.
-
-        Call after :meth:`Pipeline.reset_stats` (the warmup boundary) so
-        the first measured window is not polluted by the counter reset.
-        """
-        pipeline = self._pipeline
-        if pipeline is not None:
-            self._base = self._snapshot(pipeline)
-            pipeline._next_sample = pipeline.now + self.interval_cycles
+        self.finish()
 
     def finish(self) -> None:
         """Flush the final partial window (idempotent).

@@ -4,10 +4,11 @@ Two pieces live here:
 
 * :class:`PipelineObserver` — the hook protocol the timing model calls
   on its hot paths.  :class:`~repro.core.pipeline.Pipeline` and
-  :class:`~repro.tracecache.fill_unit.FillUnit` each hold an
-  ``observer`` attribute that defaults to ``None``; when unset the only
-  cost on the hot path is one attribute test per event, which keeps
-  untraced runs byte-identical and effectively free.
+  :class:`~repro.tracecache.fill_unit.FillUnit` share one ``observers``
+  tuple, empty by default; every attached observer sees every event,
+  and with none attached the only cost on the hot path is one truth
+  test per event, which keeps untraced runs byte-identical and
+  effectively free.
 * :class:`CycleTracer` — an observer that turns fetch packets,
   instruction lifetimes, and fill-unit installs into Chrome
   trace-event JSON (the ``chrome://tracing`` / `Perfetto
@@ -65,34 +66,31 @@ class PipelineObserver:
     # Attachment lifecycle.
     # ------------------------------------------------------------------
     def attach(self, pipeline) -> "PipelineObserver":
-        """Install this observer on ``pipeline`` (and its fill unit).
+        """Append this observer to ``pipeline.observers`` (mirrored on
+        its fill unit); observers attached together all see every event.
 
         Returns ``self`` so ``with tracer.attach(pipeline):`` reads
         naturally; :meth:`detach` runs on scope exit either way.
         """
-        if pipeline.observer is not None:
-            raise RuntimeError(
-                "pipeline already has an observer; compose with "
-                "MultiObserver instead of stacking attach() calls"
-            )
-        self._pipeline = pipeline
-        pipeline.observer = self
-        pipeline.fill_unit.observer = self
+        if self._pipeline is not None:
+            raise RuntimeError("observer is already attached")
         self._configure(pipeline)
+        self._pipeline = pipeline
+        _set_observers(pipeline, pipeline.observers + (self,))
         return self
 
     def _configure(self, pipeline) -> None:
         """Override to read machine parameters at attach time."""
 
     def detach(self) -> None:
-        """Remove this observer; the pipeline reverts to zero overhead."""
+        """Remove this observer; with none left the pipeline reverts to
+        zero overhead."""
         pipeline = self._pipeline
         if pipeline is None:
             return
-        if pipeline.observer is self:
-            pipeline.observer = None
-        if pipeline.fill_unit.observer is self:
-            pipeline.fill_unit.observer = None
+        _set_observers(pipeline, tuple(
+            observer for observer in pipeline.observers
+            if observer is not self))
         self._pipeline = None
 
     def __enter__(self) -> "PipelineObserver":
@@ -102,31 +100,9 @@ class PipelineObserver:
         self.detach()
 
 
-class MultiObserver(PipelineObserver):
-    """Fans every event out to several observers (attach this one)."""
-
-    def __init__(self, *observers: PipelineObserver) -> None:
-        self.observers = list(observers)
-
-    def _configure(self, pipeline) -> None:
-        for obs in self.observers:
-            obs._configure(pipeline)
-
-    def on_fetch(self, packet, now: int) -> None:
-        for obs in self.observers:
-            obs.on_fetch(packet, now)
-
-    def on_dispatch(self, inst, now: int) -> None:
-        for obs in self.observers:
-            obs.on_dispatch(inst, now)
-
-    def on_retire(self, inst, now: int) -> None:
-        for obs in self.observers:
-            obs.on_retire(inst, now)
-
-    def on_fill_install(self, line, ready: int, now: int) -> None:
-        for obs in self.observers:
-            obs.on_fill_install(line, ready, now)
+def _set_observers(pipeline, observers: tuple) -> None:
+    pipeline.observers = observers
+    pipeline.fill_unit.observers = observers
 
 
 class CycleTracer(PipelineObserver):

@@ -65,9 +65,9 @@ class FillUnit:
         self._pending = PendingTrace()
         self._install_queue: List[Tuple[int, TraceLine]] = []
         self._now = 0
-        #: Optional :class:`repro.obs.tracer.PipelineObserver`; set by
-        #: ``observer.attach(pipeline)`` together with the pipeline's.
-        self.observer = None
+        #: The owning pipeline's ``observers`` tuple, mirrored here by
+        #: ``observer.attach(pipeline)``.
+        self.observers = ()
         # Table 9 bookkeeping.
         self._last_assigned_cluster: Dict[int, int] = {}
         self.fill_instances = 0
@@ -121,12 +121,13 @@ class FillUnit:
         if not self._install_queue:
             return
         remaining = []
-        observer = self.observer
+        observers = self.observers
         for ready, line in self._install_queue:
             if ready <= now:
                 self.trace_cache.insert(line)
-                if observer is not None:
-                    observer.on_fill_install(line, ready, now)
+                if observers:
+                    for observer in observers:
+                        observer.on_fill_install(line, ready, now)
             else:
                 remaining.append((ready, line))
         self._install_queue = remaining

@@ -166,6 +166,26 @@ class TestViews:
                 assert category in CYCLE_LOSS_CATEGORIES
                 assert slots > 0
 
+    def test_per_cluster_counts_sum_to_by_category(self, pipeline):
+        pipeline.run(900)
+        acc = pipeline.accounting
+        per_category = {category: 0 for category in CYCLE_LOSS_CATEGORIES}
+        for per_cluster in acc.to_dict().values():
+            for category, slots in per_cluster.items():
+                per_category[category] += slots
+        assert per_category == acc.by_category()
+        assert sum(per_category.values()) == acc.lost_slots()
+        # The front-end pseudo cluster owns only empty-window losses.
+        frontend = set(acc.to_dict().get(FRONTEND, {}))
+        assert frontend <= {"fetch_starve", "mispredict_flush"}
+        # The published per-cluster counters carry the same totals.
+        registry = MetricsRegistry()
+        acc.publish(registry)
+        published = sum(
+            value for name, value in registry.to_dict()["counters"].items()
+            if name.startswith("accounting.lost_slots{"))
+        assert published == acc.lost_slots()
+
     def test_ipc_loss_sums_to_gap(self, pipeline):
         pipeline.run(400)
         acc = pipeline.accounting

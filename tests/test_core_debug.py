@@ -4,10 +4,11 @@ import pytest
 
 from repro.assign.base import StrategySpec
 from repro.cluster.config import MachineConfig
-from repro.core.debug import LifetimeRecorder, StallAttributor, STALL_CATEGORIES
+from repro.core.accounting import CYCLE_LOSS_CATEGORIES, FRONTEND
+from repro.core.debug import LifetimeRecorder
 from repro.core.pipeline import Pipeline
 from repro.isa import Instruction, Opcode
-from repro.obs import MetricsRegistry
+from repro.obs import CycleTracer, MetricsRegistry
 from repro.workloads.program import BasicBlock, Program
 
 
@@ -29,6 +30,84 @@ def div_chain_pipeline():
             instr.block_id = block.block_id
     program = Program("divchain", blocks, 0, {}, [])
     return Pipeline(program, MachineConfig(), StrategySpec(kind="base"))
+
+
+def run_window(pipeline, cycles):
+    """Reset the always-on accounting, step ``cycles`` and return it."""
+    pipeline.accounting.reset()
+    for _ in range(cycles):
+        pipeline.step()
+    return pipeline.accounting
+
+
+def slot_breakdown(acc):
+    """Share of all retire slots: retired plus each loss category."""
+    total = acc.width * acc.cycles
+    breakdown = {"retiring": acc.retired_slots / total}
+    for category, slots in acc.by_category().items():
+        breakdown[category] = slots / total
+    return breakdown
+
+
+class TestStallAttributor:
+    """The stall breakdown, read from the pipeline's cycle accounting."""
+
+    def test_breakdown_sums_to_one(self, pipeline):
+        breakdown = slot_breakdown(run_window(pipeline, 500))
+        assert sum(breakdown.values()) == pytest.approx(1.0)
+        assert set(breakdown) == {"retiring", *CYCLE_LOSS_CATEGORIES}
+
+    def test_running_pipeline_mostly_not_empty(self, pipeline):
+        pipeline.run(2000)  # warm
+        breakdown = slot_breakdown(run_window(pipeline, 1000))
+        # A 16-wide machine retires in bursts, so retired slots are a
+        # minority; the useful check is that the window isn't starved.
+        assert breakdown["retiring"] > 0.02
+        empty = breakdown["fetch_starve"] + breakdown["mispredict_flush"]
+        assert empty < 0.9
+
+    def test_render(self, pipeline):
+        text = run_window(pipeline, 100).render()
+        for category in CYCLE_LOSS_CATEGORIES:
+            assert category in text
+
+
+class TestStallCategories:
+    """Memory and compute stalls split apart, slot counts conserved."""
+
+    def test_mem_wait_split_from_exec_wait(self, pipeline):
+        memory = run_window(pipeline, 2000).by_category()
+        assert memory["mem_latency"] > 0
+        compute = run_window(div_chain_pipeline(), 800).by_category()
+        assert compute["exec_latency"] > 0
+        assert compute["mem_latency"] == 0  # no memory ops at all
+
+    def test_counts_sum_to_observed_cycles(self, pipeline):
+        acc = run_window(pipeline, 700)
+        assert acc.cycles == 700
+        assert acc.retired_slots + acc.lost_slots() == acc.width * 700
+
+    def test_cluster_counts_consistent(self, pipeline):
+        acc = run_window(pipeline, 900)
+        by_category = acc.by_category()
+        for category in CYCLE_LOSS_CATEGORIES:
+            per_cluster = sum(
+                slots
+                for (_cluster, cat), slots in acc.counts.items()
+                if cat == category)
+            assert per_cluster == by_category[category]
+        # The front-end pseudo cluster is reserved for empty-window losses.
+        for (cluster, category), slots in acc.counts.items():
+            if cluster == FRONTEND:
+                assert category in ("fetch_starve", "mispredict_flush")
+
+    def test_publish_includes_cluster_cycles(self, pipeline):
+        registry = MetricsRegistry()
+        run_window(pipeline, 400).publish(registry)
+        names = {record["name"] for record in registry.snapshot()}
+        assert any(n.startswith("accounting.lost_slots{") and "cluster=" in n
+                   for n in names)
+        assert any(n.startswith("accounting.ipc_loss") for n in names)
 
 
 class TestLifetimeRecorder:
@@ -72,97 +151,35 @@ class TestLifetimeRecorder:
         assert recorder.mean_latency() > 5.0
 
     def test_context_manager_detaches(self, pipeline):
-        original = pipeline.fill_unit.retire
         with LifetimeRecorder(pipeline, capacity=5) as recorder:
+            assert pipeline.observers == (recorder,)
             pipeline.run(200)
-        assert pipeline.fill_unit.retire == original
+        assert pipeline.observers == ()
+        assert pipeline.fill_unit.observers == ()
         assert len(recorder.records) == 5
 
     def test_context_manager_detaches_on_error(self, pipeline):
-        original = pipeline.fill_unit.retire
         with pytest.raises(RuntimeError, match="boom"):
-            with LifetimeRecorder(pipeline, capacity=5):
+            with LifetimeRecorder(pipeline, capacity=5) as recorder:
+                assert pipeline.observers == (recorder,)
                 raise RuntimeError("boom")
-        # The fill-unit hook is restored even though the window raised.
-        assert pipeline.fill_unit.retire == original
+        # The observer is removed even though the window raised.
+        assert pipeline.observers == ()
 
+    def test_records_alongside_a_tracer(self, tiny_program):
+        def fresh():
+            return Pipeline(tiny_program, MachineConfig(),
+                            StrategySpec(kind="base"))
 
-class TestStallAttributor:
-    def test_breakdown_sums_to_one(self, pipeline):
-        attributor = StallAttributor(pipeline)
-        breakdown = attributor.run(500)
-        assert sum(breakdown.values()) == pytest.approx(1.0)
-        assert set(breakdown) == set(STALL_CATEGORIES)
-
-    def test_running_pipeline_mostly_not_empty(self, pipeline):
-        pipeline.run(2000)  # warm
-        attributor = StallAttributor(pipeline)
-        breakdown = attributor.run(1000)
-        # A 16-wide machine retires in bursts, so "retiring" cycles are a
-        # minority; the useful check is that the window isn't starved.
-        assert breakdown["retiring"] > 0.02
-        assert breakdown["empty"] < 0.9
-
-    def test_render(self, pipeline):
-        attributor = StallAttributor(pipeline)
-        attributor.run(100)
-        text = attributor.render()
-        for category in STALL_CATEGORIES:
-            assert category in text
-
-
-class TestStallCategories:
-    """Satellite coverage: every category reachable, counts conserved."""
-
-    def test_every_category_exercised(self, pipeline):
-        # A memory-bound run from cold start covers empty (startup),
-        # retiring, mem_wait, and not_dispatched; the non-memory DIV
-        # chain covers exec_wait.
-        memory = StallAttributor(pipeline)
-        memory.run(2000)
-        compute = StallAttributor(div_chain_pipeline())
-        compute.run(800)
-        observed = {category
-                    for category in STALL_CATEGORIES
-                    if memory.counts[category] or compute.counts[category]}
-        assert observed == set(STALL_CATEGORIES)
-
-    def test_mem_wait_split_from_exec_wait(self, pipeline):
-        memory = StallAttributor(pipeline)
-        memory.run(2000)
-        assert memory.counts["mem_wait"] > 0
-        compute = StallAttributor(div_chain_pipeline())
-        compute.run(800)
-        assert compute.counts["exec_wait"] > 0
-        assert compute.counts["mem_wait"] == 0  # no memory ops at all
-
-    def test_counts_sum_to_observed_cycles(self, pipeline):
-        attributor = StallAttributor(pipeline)
-        attributor.run(700)
-        assert sum(attributor.counts.values()) == 700
-
-    def test_cluster_counts_consistent(self, pipeline):
-        attributor = StallAttributor(pipeline)
-        attributor.run(900)
-        assert (sum(attributor.cluster_counts.values())
-                == sum(attributor.counts.values()))
-        for category in STALL_CATEGORIES:
-            per_cluster = sum(
-                cycles
-                for (_cluster, cat), cycles
-                in attributor.cluster_counts.items()
-                if cat == category)
-            assert per_cluster == attributor.counts[category]
-        # Cluster -1 is reserved for empty-window cycles.
-        for (cluster, category), cycles in attributor.cluster_counts.items():
-            if cluster == -1:
-                assert category == "empty"
-
-    def test_publish_includes_cluster_cycles(self, pipeline):
-        attributor = StallAttributor(pipeline)
-        attributor.run(400)
-        registry = MetricsRegistry()
-        attributor.publish(registry)
-        names = {record["name"] for record in registry.snapshot()}
-        assert any(n.startswith("stall.cluster_cycles") for n in names)
-        assert any(n.startswith("stall.cycles") for n in names)
+        bare = fresh()
+        with LifetimeRecorder(bare, capacity=200) as alone:
+            bare.run(600)
+        shared = fresh()
+        tracer = CycleTracer()
+        with tracer.attach(shared), \
+                LifetimeRecorder(shared, capacity=200) as recorder:
+            assert shared.observers == (tracer, recorder)
+            shared.run(600)
+        assert tracer.recorded > 0
+        assert len(recorder.records) == 200
+        assert recorder.records == alone.records

@@ -7,7 +7,7 @@ import pytest
 
 from repro.assign.base import StrategySpec
 from repro.cluster.config import MachineConfig
-from repro.core.debug import STALL_CATEGORIES, StallAttributor
+from repro.core.accounting import CYCLE_LOSS_CATEGORIES
 from repro.core.pipeline import Pipeline
 from repro.core.simulator import Simulator
 from repro.obs import Histogram, MetricsRegistry, PipelineMetrics
@@ -129,17 +129,19 @@ class TestSimStatsPublish:
 
 class TestStallAttributorPublish:
     def test_cpi_stack_lands_in_registry(self, pipeline):
-        attributor = StallAttributor(pipeline)
-        attributor.run(300)
+        acc = pipeline.accounting
+        acc.reset()
+        for _ in range(300):
+            pipeline.step()
         registry = MetricsRegistry()
-        attributor.publish(registry)
+        acc.publish(registry)
         data = registry.to_dict()
-        fractions = [data["gauges"][f"stall.fraction{{category={c}}}"]
-                     for c in STALL_CATEGORIES]
-        assert sum(fractions) == pytest.approx(1.0)
-        counts = [data["counters"][f"stall.cycles{{category={c}}}"]
-                  for c in STALL_CATEGORIES]
-        assert sum(counts) == 300
+        losses = [data["gauges"][f"accounting.ipc_loss{{category={c}}}"]
+                  for c in CYCLE_LOSS_CATEGORIES]
+        assert sum(losses) == pytest.approx(acc.width - acc.retired_slots / 300)
+        lost = sum(value for name, value in data["counters"].items()
+                   if name.startswith("accounting.lost_slots{"))
+        assert lost + acc.retired_slots == acc.width * 300
 
 
 class TestPipelineMetricsObserver:
@@ -161,12 +163,13 @@ class TestPipelineMetricsObserver:
     def test_detach_stops_recording(self, pipeline):
         registry = MetricsRegistry()
         metrics = PipelineMetrics(registry).attach(pipeline)
+        assert pipeline.observers == (metrics,)
         pipeline.run(500)
         metrics.detach()
         before = registry.counter("retire.count", cluster=0).value
         pipeline.run(500)
         assert registry.counter("retire.count", cluster=0).value == before
-        assert pipeline.observer is None
+        assert pipeline.observers == ()
 
 
 class TestHistogramSummaryEdgeCases:

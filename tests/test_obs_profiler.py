@@ -7,8 +7,9 @@ import pytest
 from repro.assign.base import StrategySpec
 from repro.cluster.config import MachineConfig
 from repro.core.simulator import Simulator, simulate
-from repro.obs import MetricsRegistry
+from repro.obs import CycleTracer, MetricsRegistry, PipelineMetrics
 from repro.obs.profiler import PHASES, PhaseProfiler
+from repro.obs.timeseries import IntervalRecorder
 
 TINY = dict(instructions=600, warmup=200)
 
@@ -36,10 +37,15 @@ class TestPhaseProfiler:
         simulator = Simulator("gzip", StrategySpec(kind="base"),
                               config=MachineConfig())
         profiler = PhaseProfiler()
-        profiler.attach(simulator.pipeline)
-        assert simulator.pipeline.profiler is profiler
+        pipeline = simulator.pipeline
+        profiler.attach(pipeline)
+        assert {"_retire", "_execute", "_issue", "_fetch"} <= set(
+            vars(pipeline))
+        assert "tick" in vars(pipeline.fill_unit)
         profiler.detach()
-        assert simulator.pipeline.profiler is None
+        assert not {"_retire", "_execute", "_issue", "_fetch"} & set(
+            vars(pipeline))
+        assert "tick" not in vars(pipeline.fill_unit)
 
     def test_double_attach_rejected(self):
         simulator = Simulator("gzip", StrategySpec(kind="base"),
@@ -148,3 +154,80 @@ class TestByteIdentity:
                         progress_interval=100,
                         profiler=PhaseProfiler(sample_cycles=0))
         assert both.to_dict() == plain.to_dict()
+
+    def test_all_taps_together_identical_and_detached(self):
+        kwargs = dict(config=MachineConfig())
+        plain = Simulator("gzip", StrategySpec(kind="fdrt"), **kwargs)
+        plain.warmup(400)
+        expected = json.dumps(plain.run(1000).to_dict(), sort_keys=True)
+
+        simulator = Simulator("gzip", StrategySpec(kind="fdrt"), **kwargs)
+        pipeline = simulator.pipeline
+        tracer, registry = CycleTracer(), MetricsRegistry()
+        metrics = PipelineMetrics(registry)
+        profiler = PhaseProfiler(sample_cycles=100)
+        recorder = IntervalRecorder(interval_cycles=150)
+        beats = []
+
+        def hook(pipeline):
+            beats.append(pipeline.now)
+
+        simulator.progress(hook, every=75)
+        with tracer.attach(pipeline), metrics.attach(pipeline), \
+                profiler.attach(pipeline):
+            simulator.warmup(400)
+            with recorder.attach(pipeline):
+                assert pipeline.observers == (tracer, metrics)
+                # The recorder fires ahead of the earlier-installed hook.
+                assert [entry[2] for entry in pipeline.periodic] == [
+                    recorder, hook]
+                tapped = simulator.run(1000)
+        simulator.progress(None)
+        assert json.dumps(tapped.to_dict(), sort_keys=True) == expected
+        assert tracer.recorded > 0
+        assert registry.to_dict()["counters"]
+        assert profiler.steps == pipeline.now
+        assert recorder.windows
+        assert beats
+        assert not {"_retire", "_execute", "_issue", "_fetch"} & set(
+            vars(pipeline))
+        assert "tick" not in vars(pipeline.fill_unit)
+        assert pipeline.observers == () == pipeline.fill_unit.observers
+        assert pipeline.periodic == []
+
+
+class TestPeriodicSchedule:
+    """Pins when periodic taps fire, so the schedule cannot drift."""
+
+    def test_hook_beats_and_recorder_windows(self):
+        beats = []
+        recorder = IntervalRecorder(interval_cycles=200)
+        result = simulate("gzip", StrategySpec(kind="fdrt"),
+                          config=MachineConfig(), instructions=1500,
+                          warmup=800,
+                          progress_hook=lambda p: beats.append(p.now),
+                          progress_interval=50, recorder=recorder)
+        # First beat after the first simulated cycle, then every 50.
+        assert beats == list(range(1, 5752, 50))
+        # First window closes 200 cycles after attach (the warmup
+        # boundary); detach flushes the partial tail.
+        assert result.cycles == 2924
+        assert [(w["start"], w["end"]) for w in recorder.windows] == (
+            [(start, start + 200) for start in range(0, 2800, 200)]
+            + [(2800, 2924)])
+
+    def test_recorder_runs_before_hook_in_a_shared_cycle(self):
+        simulator = Simulator("gzip", StrategySpec(kind="fdrt"),
+                              config=MachineConfig())
+        simulator.pipeline.run(300)
+        start = simulator.pipeline.now
+        recorder = IntervalRecorder(interval_cycles=100)
+        seen = []
+        simulator.progress(
+            lambda p: seen.append((p.now - start, recorder.recorded)),
+            every=99)
+        with recorder.attach(simulator.pipeline):
+            simulator.pipeline.run(300)
+        # Both are due at start + 100: the window has closed by the
+        # time the hook reads it.
+        assert seen[:3] == [(1, 0), (100, 1), (199, 1)]

@@ -62,19 +62,18 @@ class TestIntervalRecorder:
         simulator = Simulator("gzip", SPEC, config=MachineConfig())
         recorder = IntervalRecorder(interval_cycles=100)
         recorder.attach(simulator.pipeline)
-        assert simulator.pipeline.sampler is recorder
-        assert simulator.pipeline.sample_interval == 100
+        now = simulator.pipeline.now
+        assert simulator.pipeline.periodic == [[now + 100, 100, recorder]]
         recorder.detach()
-        assert simulator.pipeline.sampler is None
-        assert simulator.pipeline.sample_interval == 0
+        assert simulator.pipeline.periodic == []
 
     def test_double_attach_rejected(self):
         simulator = Simulator("gzip", SPEC, config=MachineConfig())
-        with IntervalRecorder(interval_cycles=100).attach(
-                simulator.pipeline):
+        recorder = IntervalRecorder(interval_cycles=100)
+        with recorder.attach(simulator.pipeline):
             with pytest.raises(RuntimeError):
-                IntervalRecorder(interval_cycles=100).attach(
-                    simulator.pipeline)
+                recorder.attach(simulator.pipeline)
+            assert len(simulator.pipeline.periodic) == 1
 
     def test_rejects_nonpositive_knobs(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from repro.obs import (
     FETCH_LANE,
     FILL_LANE,
     CycleTracer,
-    MultiObserver,
     PipelineObserver,
 )
 
@@ -30,23 +29,24 @@ class TestObserverProtocol:
     def test_attach_sets_both_hooks(self, pipeline):
         tracer = CycleTracer()
         tracer.attach(pipeline)
-        assert pipeline.observer is tracer
-        assert pipeline.fill_unit.observer is tracer
+        assert pipeline.observers == (tracer,)
+        assert pipeline.fill_unit.observers == (tracer,)
         tracer.detach()
-        assert pipeline.observer is None
-        assert pipeline.fill_unit.observer is None
+        assert pipeline.observers == ()
+        assert pipeline.fill_unit.observers == ()
 
     def test_double_attach_rejected(self, pipeline):
-        CycleTracer().attach(pipeline)
-        with pytest.raises(RuntimeError, match="already has an observer"):
-            CycleTracer().attach(pipeline)
+        tracer = CycleTracer().attach(pipeline)
+        with pytest.raises(RuntimeError, match="already attached"):
+            tracer.attach(pipeline)
+        assert pipeline.observers == (tracer,)
 
     def test_context_manager_detaches_on_error(self, pipeline):
         tracer = CycleTracer()
         with pytest.raises(RuntimeError):
             with tracer.attach(pipeline):
                 raise RuntimeError("boom")
-        assert pipeline.observer is None
+        assert pipeline.observers == ()
 
     def test_multi_observer_fans_out(self, pipeline):
         seen = []
@@ -58,10 +58,13 @@ class TestObserverProtocol:
             def on_retire(self, inst, now):
                 seen.append(self.tag)
 
-        with MultiObserver(Spy("a"), Spy("b")).attach(pipeline):
+        first, second = Spy("a"), Spy("b")
+        with first.attach(pipeline), second.attach(pipeline):
+            assert pipeline.observers == (first, second)
             pipeline.run(300)
         assert "a" in seen and "b" in seen
         assert seen.count("a") == seen.count("b")
+        assert pipeline.observers == ()
 
     def test_untraced_run_matches_traced_run(self, tiny_program):
         plain = Pipeline(
