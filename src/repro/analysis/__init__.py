@@ -14,7 +14,7 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.analysis.utilization": ("UtilizationReport", "collect_utilization"),
     "repro.analysis.export": ("results_to_csv", "results_to_rows"),
-    "repro.analysis.charts": ("bar_chart",),
+    "repro.analysis.charts": ("bar_chart", "sparkline"),
     "repro.analysis.energy": (
         "EnergyModel", "EnergyReport", "estimate_energy",
     ),
@@ -27,17 +27,9 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.analysis.reporting": (
         "AnalysisReport", "AssignmentQuality", "analyze_manifest",
     ),
-    "repro.analysis.history": (
-        "HISTORY_SCHEMA_VERSION", "HistoryStore", "append_trajectory",
-        "load_points", "load_trajectory", "metric_series", "sparkline",
-    ),
     "repro.analysis.phases": (
         "PHASE_SIGNATURE_VERSION", "Phase", "PhaseReport", "compare_timelines",
         "detect_phases", "load_timeline", "render_comparison",
         "render_timeline", "segment_timeline", "window_features",
-    ),
-    "repro.analysis.bench": ("run_bench",),
-    "repro.analysis.degradation": (
-        "CheckReport", "bisect_commits", "check_history",
     ),
 })

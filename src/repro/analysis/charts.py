@@ -1,13 +1,17 @@
-"""Terminal bar charts for rendering the paper's figures as text.
+"""Terminal bar charts and sparklines for rendering results as text.
 
 Deliberately dependency-free: the benchmark harness runs in environments
 without plotting libraries, and the paper's bar figures carry their
-information fine as proportional text bars.
+information fine as proportional text bars.  Sparklines draw the trend
+columns of ``repro top`` and ``repro timeline``.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
+
+#: The sparkline ramp, lowest to highest.
+_SPARK_TICKS = "▁▂▃▄▅▆▇█"
 
 
 def bar_chart(
@@ -56,3 +60,19 @@ def grouped_bar_chart(
         sections.append(bar_chart(data, title=f"[{group}]", width=width,
                                   fmt=fmt))
     return "\n".join(sections)
+
+
+def sparkline(values: Iterable[float]) -> str:
+    """Unicode sparkline of ``values`` (empty string for no values)."""
+    values = [float(v) for v in values]
+    if not values:
+        return ""
+    low, high = min(values), max(values)
+    if high <= low:
+        return _SPARK_TICKS[3] * len(values)
+    span = high - low
+    ticks = []
+    for value in values:
+        index = int((value - low) / span * (len(_SPARK_TICKS) - 1))
+        ticks.append(_SPARK_TICKS[index])
+    return "".join(ticks)

@@ -371,7 +371,7 @@ def render_timeline(windows: Sequence[dict],
     detected phase.  ``ansi`` only adds colour; the glyphs are plain
     unicode, so piped output stays readable.
     """
-    from repro.analysis.history import sparkline
+    from repro.analysis.charts import sparkline
 
     windows = [w for w in windows if w.get("cycles")]
     if not windows:

@@ -62,16 +62,6 @@ and ``repro diff A B`` / ``repro diff RUN --against BASELINE`` flags
 out-of-noise-band deltas, exiting non-zero on regressions.  Both
 ``analyze`` and ``diff`` take ``--json`` for machine-readable output.
 
-Performance history (see ``docs/OBSERVABILITY.md``): ``repro bench``
-measures the simulator's own wall-clock throughput (kcyc/s, per-phase
-shares) over a pinned benchmark × strategy matrix and appends one
-git-SHA-stamped point to the committed ``BENCH_7.json`` trajectory
-(plus a one-file-per-point ``perf-history/`` store); ``repro history``
-renders any metric's trajectory as a table + sparkline; ``repro
-check`` gates the newest point against the trailing window (exit 1 on
-degradation); and ``repro bisect`` binary-searches git history for the
-first commit that crossed a metric threshold.
-
 Imports: this module loads only argument parsing and the strategy and
 machine presets.  Each subcommand imports what it uses inside its
 handler, and package names resolve on first access (see
@@ -565,90 +555,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            "instead of the terminal summary (the exit "
                            "code still gates)")
 
-    bench = sub.add_parser(
-        "bench",
-        help="wall-clock benchmark of the simulator itself over the "
-             "pinned matrix; appends one point to the perf history")
-    bench.add_argument("--quick", action="store_true",
-                       help="CI smoke budget (~3s) instead of the full "
-                            "committed-trajectory budget (~15s)")
-    bench.add_argument("--reps", type=int, default=None, metavar="N",
-                       help="repetitions per cell (default: 3 full, "
-                            "2 quick)")
-    bench.add_argument("--history-file", default=None, metavar="PATH",
-                       help="trajectory JSON to append to (default "
-                            "$REPRO_HISTORY_FILE or BENCH_7.json)")
-    bench.add_argument("--store-dir", default="perf-history",
-                       metavar="DIR",
-                       help="also drop the point into this one-file-per-"
-                            "point store ('' = skip; default "
-                            "perf-history)")
-    bench.add_argument("--no-append", action="store_true",
-                       help="measure and print only; write nothing")
-    bench.add_argument("--json", action="store_true",
-                       help="emit the measured point as JSON on stdout")
-
-    history = sub.add_parser(
-        "history",
-        help="table + sparkline of one metric across the perf history")
-    history.add_argument("metric", nargs="?", default="wall.kcyc_per_s",
-                         help="metric to trace (default wall.kcyc_per_s; "
-                              "e.g. ipc, tc_hit_rate)")
-    history.add_argument("--entry", default=None, metavar="BENCH|STRAT",
-                         help="restrict to one matrix entry, e.g. "
-                              "'gzip|FDRT' (default: mean over entries)")
-    history.add_argument("--history-file", default=None, metavar="PATH",
-                         help="trajectory JSON or perf-history directory "
-                              "(default $REPRO_HISTORY_FILE or "
-                              "BENCH_7.json)")
-    history.add_argument("--last", type=int, default=None, metavar="N",
-                         help="show only the newest N points")
-    history.add_argument("--markdown", default=None, metavar="PATH",
-                         help="also write the trajectory as markdown "
-                              "to PATH")
-
-    check = sub.add_parser(
-        "check",
-        help="gate the newest perf-history point against the trailing "
-             "window; exits 1 on degradation, 2 on no history")
-    check.add_argument("--history-file", default=None, metavar="PATH",
-                       help="trajectory JSON or perf-history directory "
-                            "(default $REPRO_HISTORY_FILE or "
-                            "BENCH_7.json)")
-    check.add_argument("--window", type=int, default=5, metavar="K",
-                       help="reference points consulted (default 5)")
-    check.add_argument("--markdown", default=None, metavar="PATH",
-                       help="also write the verdict as markdown to PATH")
-    check.add_argument("--json", action="store_true",
-                       help="emit the verdict as machine-readable JSON")
-
-    bisect = sub.add_parser(
-        "bisect",
-        help="binary-search git history for the first commit that "
-             "crossed a metric threshold")
-    bisect.add_argument("good", help="known-good commit (exclusive)")
-    bisect.add_argument("bad", nargs="?", default="HEAD",
-                        help="known-bad commit (default HEAD)")
-    bisect.add_argument("--repo", default=".", metavar="DIR",
-                        help="git repository to bisect (default .)")
-    bisect.add_argument("--threshold", type=float, required=True,
-                        metavar="X",
-                        help="a commit measuring on the unfavourable "
-                             "side of X is bad")
-    bisect.add_argument("--direction", choices=("higher", "lower"),
-                        default="higher",
-                        help="which side of the threshold is GOOD "
-                             "(default: higher values are good)")
-    # dest avoids clobbering the subparser's own `command` slot.
-    bisect.add_argument("--command", dest="measure_cmd", default=None,
-                        metavar="CMD",
-                        help="measurement command run per probed commit "
-                             "(in a detached worktree; last stdout line "
-                             "= value).  Default: the quick bench "
-                             "matrix's mean wall.kcyc_per_s")
-    bisect.add_argument("--metric", default="wall.kcyc_per_s",
-                        help="metric the default measurement reports "
-                             "(default wall.kcyc_per_s)")
     return parser
 
 
@@ -1595,144 +1501,6 @@ def _cmd_diff(args) -> int:
     return report.exit_code
 
 
-def _cmd_bench(args) -> int:
-    import json
-
-    from repro.analysis.bench import run_bench
-    from repro.analysis.history import HistoryStore, append_trajectory
-    from repro.runtime.settings import resolve_history_file
-
-    if args.reps is not None and args.reps < 1:
-        print(f"error: --reps must be >= 1 (got {args.reps})",
-              file=sys.stderr)
-        return 2
-    profile = "quick" if args.quick else "full"
-    point = run_bench(profile=profile, reps=args.reps, stream=sys.stderr)
-    if args.json:
-        print(json.dumps(point, indent=2, sort_keys=True))
-    if args.no_append:
-        return 0
-    path = resolve_history_file(args.history_file)
-    append_trajectory(path, point)
-    print(f"history: appended {profile} point "
-          f"{point['git_sha'][:7] if point['git_sha'] else '???????'}"
-          f"{'*' if point['git_dirty'] else ''} to {path}")
-    if args.store_dir:
-        stored = HistoryStore(args.store_dir).add(point)
-        print(f"history: stored {stored}")
-    return 0
-
-
-def _cmd_history(args) -> int:
-    from repro.analysis.history import (
-        history_markdown,
-        load_points,
-        render_history,
-    )
-    from repro.runtime.settings import resolve_history_file
-
-    path = resolve_history_file(args.history_file)
-    try:
-        points = load_points(path)
-    except (OSError, ValueError) as error:
-        print(f"error: cannot read history {path}: {error}",
-              file=sys.stderr)
-        return 2
-    print(render_history(points, args.metric, entry=args.entry,
-                         last=args.last))
-    if args.markdown:
-        with open(args.markdown, "w", encoding="utf-8") as handle:
-            handle.write(
-                history_markdown(points, args.metric, entry=args.entry)
-                + "\n")
-        print(f"\nmarkdown report: {args.markdown}")
-    return 0
-
-
-def _cmd_check(args) -> int:
-    import json
-
-    from repro.analysis.degradation import check_history
-    from repro.analysis.history import load_points
-    from repro.runtime.settings import resolve_history_file
-
-    path = resolve_history_file(args.history_file)
-    try:
-        points = load_points(path)
-    except (OSError, ValueError) as error:
-        print(f"error: cannot read history {path}: {error}",
-              file=sys.stderr)
-        return 2
-    report = check_history(points, window=args.window)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.render())
-    if args.markdown:
-        with open(args.markdown, "w", encoding="utf-8") as handle:
-            handle.write(report.to_markdown())
-    return report.exit_code
-
-
-def _cmd_bisect(args) -> int:
-    import shlex
-    import subprocess
-
-    from repro.analysis.degradation import (
-        bisect_commits,
-        classify_threshold,
-        git_commits,
-        measure_command,
-    )
-
-    try:
-        commits = git_commits(args.repo, args.good, args.bad)
-    except subprocess.CalledProcessError as error:
-        message = (error.stderr or "").strip() or error
-        print(f"error: git rev-list failed: {message}", file=sys.stderr)
-        return 2
-    if not commits:
-        print(f"error: no commits in {args.good}..{args.bad}",
-              file=sys.stderr)
-        return 2
-    if args.measure_cmd:
-        command = shlex.split(args.measure_cmd)
-    else:
-        # Replay the quick bench matrix at each probed commit.  Only
-        # works across commits that already carry the bench harness.
-        command = [
-            sys.executable, "-c",
-            "import sys; sys.path.insert(0, 'src');"
-            "from repro.analysis.bench import run_bench;"
-            "from repro.analysis.history import entry_metric;"
-            f"print(entry_metric(run_bench('quick'), {args.metric!r}))",
-        ]
-    classify = classify_threshold(args.threshold, args.direction)
-    measure = measure_command(args.repo, command)
-
-    def log(message: str) -> None:
-        print(message, file=sys.stderr)
-
-    print(f"bisect: {len(commits)} commit(s) in "
-          f"{args.good[:10]}..{args.bad}, threshold {args.threshold} "
-          f"({args.direction} is good)")
-    try:
-        verdict = bisect_commits(commits, measure, classify, log=log)
-    except (subprocess.CalledProcessError, RuntimeError,
-            ValueError) as error:
-        print(f"error: measurement failed: {error}", file=sys.stderr)
-        return 2
-    if verdict is None:
-        print("bisect: every probed commit is good — the regression is "
-              "not in this range")
-        return 1
-    print(f"bisect: first bad commit {verdict['first_bad']} "
-          f"(#{verdict['index'] + 1} of {len(commits)}, "
-          f"measured {verdict['value']:.4f}, "
-          f"{len(verdict['measurements'])} probe(s))")
-    return 0
-
-
 def _apply_runtime(args) -> None:
     """Install ``--jobs`` / ``--no-cache`` as process-wide defaults.
 
@@ -1783,10 +1551,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "analyze": _cmd_analyze,
         "baseline": _cmd_baseline,
         "diff": _cmd_diff,
-        "bench": _cmd_bench,
-        "history": _cmd_history,
-        "check": _cmd_check,
-        "bisect": _cmd_bisect,
     }
     try:
         return handlers[args.command](args)

@@ -58,8 +58,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     "repro.obs.manifest": (
         "MANIFEST_SCHEMA_VERSION", "TelemetryWriter", "git_dirty", "git_sha",
-        "history_key", "host_fingerprint", "host_info", "load_manifest",
-        "new_run_id",
+        "host_info", "load_manifest", "new_run_id",
     ),
     "repro.obs.metrics": (
         "DEFAULT_BUCKETS", "Counter", "Gauge", "Histogram", "MetricsRegistry",

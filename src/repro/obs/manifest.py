@@ -39,7 +39,6 @@ this module imports nothing from :mod:`repro.runtime`.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import platform
@@ -58,9 +57,7 @@ from typing import Dict, List, Optional
 #: ``resumed``/``failed`` statuses, and completed ``events.jsonl``
 #: lines embed the full result payload (the resume journal).
 #: v4: the manifest and every ``events.jsonl`` line carry the run's
-#: ``run_id`` correlation id, and the manifest gains the performance
-#: ``history_key`` stamp (git sha, dirty flag, host fingerprint) the
-#: perf-history store joins on (see ``repro.analysis.history``).
+#: ``run_id`` correlation id, and the manifest gains ``git_dirty``.
 MANIFEST_SCHEMA_VERSION = 4
 
 #: Job-event statuses that finish a job with a correct result.
@@ -96,8 +93,8 @@ def git_dirty(cwd: Optional[str] = None) -> Optional[bool]:
     """Whether the repository containing ``cwd`` has uncommitted changes.
 
     ``None`` when there is no repository (or git is unavailable) — a
-    measurement from outside version control is neither clean nor
-    dirty, and the history store records exactly that.
+    run from outside version control is neither clean nor dirty, and
+    the manifest records exactly that.
     """
     try:
         proc = subprocess.run(
@@ -121,32 +118,6 @@ def new_run_id() -> str:
     joined across files and hosts without guessing by mtime.
     """
     return uuid.uuid4().hex[:16]
-
-
-def host_fingerprint() -> str:
-    """Short stable hash identifying this host + Python environment.
-
-    Wall-clock measurements are only comparable between runs that share
-    a fingerprint; the perf-history degradation check uses it to avoid
-    flagging a laptop as a regression against a CI runner.
-    """
-    info = host_info()
-    blob = "|".join(str(info[key]) for key in
-                    ("hostname", "platform", "python", "cpu_count"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
-
-
-def history_key(cwd: Optional[str] = None) -> dict:
-    """The identity a perf-history point is stored under.
-
-    ``{git_sha, git_dirty, fingerprint}`` — what code was measured,
-    whether the tree was clean, and on what kind of host.
-    """
-    return {
-        "git_sha": git_sha(cwd),
-        "git_dirty": git_dirty(cwd),
-        "fingerprint": host_fingerprint(),
-    }
 
 
 def _job_identity(job) -> dict:
@@ -297,7 +268,6 @@ class TelemetryWriter:
             "resumed": getattr(report, "resumed", 0),
             "failed": getattr(report, "failed", 0),
         })
-        key = history_key()
         manifest = {
             "schema": MANIFEST_SCHEMA_VERSION,
             "status": status,
@@ -306,9 +276,8 @@ class TelemetryWriter:
             "created": self._started,
             "finished": time.time(),
             "host": host_info(),
-            "git_sha": key["git_sha"],
-            "git_dirty": key["git_dirty"],
-            "history_key": key,
+            "git_sha": git_sha(),
+            "git_dirty": git_dirty(),
             "engine": report.to_dict(),
             "jobs": self._jobs,
         }

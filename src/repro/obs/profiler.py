@@ -203,18 +203,6 @@ class PhaseProfiler:
         total = self.total_seconds
         return self.steps / total if total else 0.0
 
-    def wall_metrics(self) -> Dict[str, float]:
-        """The profiled run as flat ``wall.*`` metrics.
-
-        This is the measurement surface of ``repro bench`` and the
-        perf-history store: simulator throughput in kilocycles per
-        wall-clock second plus the per-phase share of the step loop.
-        """
-        metrics = {"wall.kcyc_per_s": self.cycles_per_second / 1_000.0}
-        for phase, share in self.shares().items():
-            metrics[f"wall.phase_share.{phase}"] = share
-        return metrics
-
     def publish(self, registry) -> None:
         """Publish ``profile.*`` metrics into ``registry``."""
         shares = self.shares()

@@ -15,10 +15,7 @@ Endpoints:
     Prometheus text exposition (version 0.0.4): the engine's job
     counters and per-state gauges, result-cache counters, per-worker
     heartbeat gauges (age, cycles, sim-IPC), aggregated ``profile.*``
-    phase seconds from worker heartbeats, ``perf_history.*`` gauges
-    from the newest committed perf-history point (value, band, and
-    delta-vs-previous per gated metric — see
-    :mod:`repro.analysis.history`), and — when a
+    phase seconds from worker heartbeats, and — when a
     :class:`~repro.obs.metrics.MetricsRegistry` is attached — every
     registered counter/gauge/histogram (histograms export as summaries
     using the shared :meth:`Histogram.summary` quantiles).
@@ -170,15 +167,12 @@ class TelemetryServer:
         registry=None,
         telemetry_dir: Optional[str] = None,
         stale_after: Optional[float] = None,
-        history_path: Optional[str] = None,
     ) -> None:
         self.engine = engine
         self.registry = registry
         self._explicit_dir = (
             os.fspath(telemetry_dir) if telemetry_dir else None)
         self.stale_after = stale_after
-        self.history_path = (
-            os.fspath(history_path) if history_path else None)
         self.host = host
         self.port = port
         self.started = time.time()
@@ -368,7 +362,6 @@ class TelemetryServer:
                             getattr(stats, field))
             text.sample("cache.hit_rate", "gauge", stats.hit_rate)
         self._heartbeat_metrics(text)
-        self._history_metrics(text)
         if self.registry is not None:
             registry_to_prometheus(self.registry, text)
         return text.render()
@@ -448,63 +441,6 @@ class TelemetryServer:
             if total:
                 text.sample("profile.share", "gauge", seconds / total,
                             phase=phase)
-
-    def _history_metrics(self, text: PrometheusText) -> None:
-        """``perf_history.*``: the newest perf-history point + delta.
-
-        Sources the trajectory named by ``history_path`` (falling back
-        to ``REPRO_HISTORY_FILE`` / the committed ``BENCH_7.json``);
-        silently absent when no trajectory exists — scrapes must work
-        on hosts that never ran ``repro bench``.
-        """
-        path = self.history_path
-        if path is None:
-            from repro.runtime.settings import resolve_history_file
-
-            path = resolve_history_file()
-        if not os.path.exists(path):
-            return
-        try:
-            from repro.analysis.history import load_points
-
-            points = load_points(path)
-        except (OSError, ValueError):
-            return
-        if not points:
-            return
-        latest = points[-1]
-        text.sample("perf_history.points", "gauge", len(points))
-        text.sample("perf_history.last_timestamp", "gauge",
-                    latest.get("ts", 0.0))
-        text.sample("perf_history.dirty", "gauge",
-                    bool(latest.get("git_dirty")))
-        sha = latest.get("git_sha") or "unknown"
-        text.sample(
-            "perf_history.info", "gauge", 1,
-            sha=sha[:10] if isinstance(sha, str) else "unknown",
-            profile=latest.get("profile", "?"),
-            fingerprint=str(latest.get("fingerprint", "?"))[:12],
-        )
-        previous = next(
-            (p for p in reversed(points[:-1])
-             if p.get("profile") == latest.get("profile")), None)
-        for entry, metrics in sorted(latest.get("entries", {}).items()):
-            for metric, cell in sorted(metrics.items()):
-                if metric.startswith("wall.phase_share."):
-                    continue  # high-cardinality, low-value as a gauge
-                labels = {"entry": entry, "metric": metric}
-                text.sample("perf_history.value", "gauge",
-                            cell.get("value", 0.0), **labels)
-                text.sample("perf_history.band", "gauge",
-                            cell.get("band", 0.0), **labels)
-                if previous is not None:
-                    prior = previous.get("entries", {}).get(
-                        entry, {}).get(metric)
-                    if prior is not None:
-                        text.sample(
-                            "perf_history.delta", "gauge",
-                            cell.get("value", 0.0) - prior.get("value", 0.0),
-                            **labels)
 
     # ------------------------------------------------------------------
     # Request plumbing.

@@ -323,7 +323,7 @@ def render_state(document: dict, ansi: bool = False,
             f" hit-rate {cache.get('hit_rate', 0.0):.0%}"
         )
     lines.append("")
-    from repro.analysis.history import sparkline
+    from repro.analysis.charts import sparkline
 
     header = (f"{'#':>3}  {'status':<9} {'job':<36} {'try':>3} "
               f"{'cycles':>10} {'ipc':>7} {'trend':<{TREND_POINTS}} "

@@ -54,11 +54,6 @@ Environment variables:
     simulating (the shared global memoization tier), and the
     ``submit`` / ``fetch`` / ``worker`` commands use it as their
     default endpoint.  Default: no remote cache.
-``REPRO_HISTORY_FILE``
-    Perf-history trajectory consumed and appended by ``repro bench`` /
-    ``repro history`` / ``repro check`` and exposed by the telemetry
-    exporter's ``repro_perf_history_*`` metric families.  Default
-    ``BENCH_7.json`` (the committed trajectory).
 ``REPRO_TRACE_SAMPLE``
     Fraction of distributed traces that are sampled (recorded), in
     ``[0, 1]`` — the root sampling decision is a deterministic hash of
@@ -287,19 +282,6 @@ def resolve_service_url(explicit: Optional[str] = None) -> Optional[str]:
             f"invalid service URL {value!r}: expected http(s)://host:port"
         )
     return value
-
-
-#: Default perf-history trajectory file (the committed artifact).
-DEFAULT_HISTORY_FILE = "BENCH_7.json"
-
-
-def resolve_history_file(
-    explicit: Union[str, os.PathLike, None] = None,
-) -> str:
-    """Resolve the perf-history trajectory path."""
-    if explicit is not None:
-        return os.fspath(explicit)
-    return os.environ.get("REPRO_HISTORY_FILE") or DEFAULT_HISTORY_FILE
 
 
 def resolve_trace_sample(explicit: Optional[float] = None) -> float:

@@ -89,6 +89,21 @@ class QueueEntry:
     #: When the entry went terminal (journal ``complete``/``fail`` ts).
     finished: Optional[float] = None
 
+    def reset(self, submitted: float) -> None:
+        """Back to pending, as if submitted at ``submitted``.
+
+        Keeps the key, payload, queue position, ids and counters; drops
+        everything the finished run left behind.
+        """
+        self.state = "pending"
+        self.submitted = submitted
+        self.worker = None
+        self.lease_deadline = None
+        self.elapsed = None
+        self.reason = None
+        self.claimed = None
+        self.finished = None
+
     def public(self, now: Optional[float] = None) -> dict:
         """The ``GET /jobs/<key>`` / ``GET /queue`` view of this entry."""
         now = time.time() if now is None else now
@@ -235,7 +250,10 @@ class JobQueue:
             return
         entry = self._entries.get(key)
         if event == "submit":
-            if entry is None:
+            if entry is not None:
+                # A second submit line re-runs the job (see reopen()).
+                entry.reset(record.get("ts", 0.0))
+            else:
                 payload = record.get("payload")
                 if not isinstance(payload, dict):
                     return
@@ -290,7 +308,9 @@ class JobQueue:
 
         A duplicate key — same cell submitted twice, by any client —
         returns the existing entry in whatever state it has reached, so
-        concurrent identical sweeps coalesce onto one computation.
+        concurrent identical sweeps coalesce onto one computation (a
+        ``done`` entry whose result was evicted goes through
+        :meth:`reopen` instead).
         ``run_id`` correlates the entry (and its journal lines) with
         the submitting run's manifest; ``trace`` is the submitter's
         traceparent header, journaled and handed to the claiming worker
@@ -316,6 +336,28 @@ class JobQueue:
                 self._order.pop()
                 raise QueueReadOnly(
                     "journal write failed; queue is read-only")
+            return entry, True
+
+    def reopen(self, key: str) -> tuple:
+        """Put a ``done`` entry back to pending; ``(entry, reopened)``.
+
+        For a job that is done but whose result the cache no longer
+        holds (evicted): a plain :meth:`submit` would answer ``done``
+        with no result, forever.  Journals a second ``submit`` line,
+        which :meth:`_apply` replays as the same reset.  An entry that
+        is not ``done`` (another submitter reopened it first) is
+        returned as-is.
+        """
+        with self.lock:
+            entry = self._entries[key]
+            if entry.state != "done":
+                return entry, False
+            if not self._append("submit", key, payload=entry.payload,
+                                index=entry.index, run_id=entry.run_id,
+                                trace=entry.trace):
+                raise QueueReadOnly(
+                    "journal write failed; queue is read-only")
+            entry.reset(time.time())
             return entry, True
 
     def _notify(self, event: str, entry: QueueEntry) -> None:

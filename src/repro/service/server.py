@@ -475,9 +475,13 @@ class ServiceServer(TelemetryServer):
             self.submit_cache_hits += 1
             return 200, {"key": key, "state": "done", "cached": True}
         retry_after = {"Retry-After": SHED_RETRY_AFTER}
-        if self.queue.get(key) is None:
-            # Only *new* entries add depth; duplicates and cache hits
-            # are answered even while draining or full.
+        entry = self.queue.get(key)
+        # Done, yet the cache just missed: the result was evicted, so
+        # the job runs again.
+        rerun = entry is not None and entry.state == "done"
+        if entry is None or rerun:
+            # Only new or re-run entries add depth; duplicates and cache
+            # hits are answered even while draining or full.
             if self.draining:
                 self.shed_total += 1
                 return 503, {"error": "server is draining",
@@ -491,8 +495,11 @@ class ServiceServer(TelemetryServer):
                                           f"max {self.max_depth})",
                                  "depth": depth}, retry_after
         try:
-            entry, created = self.queue.submit(key, job.canonical(),
-                                               run_id=run_id, trace=trace)
+            if rerun:
+                entry, created = self.queue.reopen(key)
+            else:
+                entry, created = self.queue.submit(
+                    key, job.canonical(), run_id=run_id, trace=trace)
         except QueueReadOnly as error:
             self.shed_total += 1
             return 503, {"error": str(error), "read_only": True}, retry_after

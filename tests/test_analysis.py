@@ -9,7 +9,7 @@ from repro.analysis import (
     results_to_csv,
     results_to_rows,
 )
-from repro.analysis.charts import grouped_bar_chart
+from repro.analysis.charts import grouped_bar_chart, sparkline
 
 
 @pytest.fixture(scope="module")
@@ -94,3 +94,9 @@ class TestCharts:
     def test_grouped(self):
         out = grouped_bar_chart({"g1": {"a": 1.0}, "g2": {"b": 2.0}})
         assert "[g1]" in out and "[g2]" in out
+
+    def test_sparkline(self):
+        line = sparkline([41.0, 42.0, 43.0])
+        assert len(line) == 3 and line[0] < line[1] < line[2]
+        assert sparkline([]) == ""
+        assert len(set(sparkline([5.0, 5.0, 5.0]))) == 1

@@ -32,7 +32,7 @@ from repro.cli import main
 from repro.cluster.config import MachineConfig
 from repro.core.simulator import simulate
 from repro.obs import load_manifest
-from repro.runtime import settings
+from repro.runtime import ExperimentEngine, SimJob, settings
 
 TINY = ("--instructions", "400", "--warmup", "200")
 
@@ -247,6 +247,83 @@ class TestDiffSources:
         from repro.analysis.diffing import entries_from_manifest
         entries = entries_from_manifest(load_manifest(str(tdir)))
         assert set(entries) == {"gzip|Base"}
+
+
+SHA_A = "a" * 40
+SHA_B = "b" * 40
+
+
+def write_baseline_doc(path, sha, ipc=1.5, dirty=False):
+    document = {
+        "schema": 1,
+        "created": 0.0,
+        "git_sha": sha,
+        "git_dirty": dirty,
+        "machine": "base",
+        "instructions": 400,
+        "warmup": 200,
+        "seeds": [1],
+        "entries": {
+            "gzip|Base": {
+                "benchmark": "gzip",
+                "strategy": "Base",
+                "metrics": {
+                    "ipc": {"value": ipc, "mean": ipc, "band": 0.02},
+                },
+            },
+        },
+    }
+    path.write_text(json.dumps(document))
+    return str(path)
+
+
+class TestDiffProvenance:
+    def test_sha_mismatch_noted_and_in_json(self, tmp_path, capsys):
+        a = write_baseline_doc(tmp_path / "a.json", SHA_A)
+        b = write_baseline_doc(tmp_path / "b.json", SHA_B, dirty=True)
+        assert main(["diff", a, b]) == 0
+        out = capsys.readouterr().out
+        assert "different commits" in out
+        assert "dirty working tree" in out
+        assert main(["diff", a, b, "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["exit_code"] == 0
+        assert any("different commits" in note
+                   for note in document["notes"])
+
+    def test_same_sha_no_note_and_regression_gates(self, tmp_path,
+                                                   capsys):
+        a = write_baseline_doc(tmp_path / "a.json", SHA_A)
+        b = write_baseline_doc(tmp_path / "b.json", SHA_A, ipc=1.2)
+        assert main(["diff", a, b, "--json"]) == 1
+        document = json.loads(capsys.readouterr().out)
+        assert document["notes"] == []
+        assert document["exit_code"] == 1
+        flags = [m["flag"] for e in document["entries"]
+                 for m in e["metrics"]]
+        assert "REGRESSION" in flags
+
+    def test_baseline_capture_records_dirty_flag(self):
+        document = capture_baseline(
+            ["gzip"], [StrategySpec(kind="base")],
+            config=MachineConfig(),
+            machine="base", instructions=400, warmup=200, seeds=[1])
+        assert "git_dirty" in document
+        assert "git_sha" in document
+
+
+class TestAnalyzeJson:
+    def test_analyze_json_document(self, tmp_path, capsys):
+        tdir = tmp_path / "telemetry"
+        ExperimentEngine(jobs=1, telemetry=str(tdir)).run(
+            [SimJob(benchmark="gzip", spec=StrategySpec(kind="fdrt"),
+                    config=MachineConfig(),
+                    instructions=400, warmup=200)])
+        assert main(["analyze", str(tdir), "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["attributions"][0]["benchmark"] == "gzip"
+        assert document["quality"][0]["option_mix"]
+        assert document["engine"]["total"] == 1
 
 
 class TestAnalyzeManifest:

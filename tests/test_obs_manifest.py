@@ -196,6 +196,26 @@ class TestHostAndGit:
         assert {"hostname", "platform", "python", "cpu_count"} <= set(info)
 
 
+class TestRunIdThreading:
+    def test_engine_stamps_one_run_id_everywhere(self, tmp_path):
+        tdir = tmp_path / "telemetry"
+        engine = ExperimentEngine(jobs=1, telemetry=str(tdir))
+        engine.run(make_jobs(("gzip",)))
+        manifest = load_manifest(str(tdir))
+        run_id = manifest["run_id"]
+        assert run_id and len(run_id) == 16
+        assert "git_sha" in manifest
+        assert "git_dirty" in manifest
+        events = read_events(tdir)
+        assert events
+        assert all(e["run_id"] == run_id for e in events)
+        heartbeats = list((tdir / "heartbeats").glob("*.json"))
+        assert heartbeats
+        for path in heartbeats:
+            assert json.loads(
+                path.read_text())["run_id"] == run_id
+
+
 class TestSweepReportJson:
     def test_report_json_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"

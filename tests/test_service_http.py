@@ -14,6 +14,7 @@ from repro.obs.server import TelemetryServer
 from repro.runtime import ResultCache, SimJob
 from repro.runtime import settings
 from repro.service import ServiceServer
+from repro.service.queue import JobQueue
 
 
 @pytest.fixture(autouse=True)
@@ -225,6 +226,28 @@ class TestWorkerProtocol:
         assert " 1.25" in text
         assert "repro_worker_interval_tc_hit_rate{" in text
         assert "repro_worker_interval_fetch_starve{" in text
+
+    def test_evicted_result_reruns_on_resubmit(self, server, tmp_path):
+        job, _ = self._submit_and_claim(server)
+        post(server.url, "/complete", {
+            "key": job.key, "worker": "w1",
+            "result": make_result().to_dict(), "elapsed": 0.5,
+        })
+        assert server.cache.gc(max_entries=0)["evicted_lru"] == 1
+        status, document = post(server.url, "/jobs", job.canonical())
+        assert status == 202
+        assert document["state"] == "pending" and document["created"]
+        _, view = get(server.url, f"/jobs/{job.key}")
+        assert view["state"] == "pending" and "result" not in view
+        # A restart replays the second submit as the same reset.
+        live = server.queue.get(job.key).public()
+        replayed = JobQueue(server.data_dir).get(job.key).public()
+        for record in (live, replayed):
+            del record["age_seconds"], record["times"]
+        assert replayed == live
+        status, claim = post(server.url, "/claim", {"worker": "w2"})
+        assert status == 200 and claim["key"] == job.key
+        assert claim["claims"] == 2
 
     def test_cache_endpoint_misses_cleanly(self, server):
         status, document = get(server.url, "/cache/" + "f" * 64)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import sys
+import threading
 
 import pytest
 
@@ -34,6 +36,50 @@ class TestSubmission:
         queue.complete(key(1), worker="w1", elapsed=0.2)
         entry, created = queue.submit(key(1), payload(1))
         assert not created and entry.state == "done"
+
+
+    def test_reopen_reruns_a_done_entry_and_replays(self, tmp_path):
+        queue = JobQueue(str(tmp_path))
+        queue.submit(key(1), payload(1), run_id="r1")
+        queue.claim("w1")
+        queue.complete(key(1), worker="w1", elapsed=0.2)
+        entry, reopened = queue.reopen(key(1))
+        assert reopened and entry.state == "pending"
+        assert entry.worker is None and entry.elapsed is None
+        assert entry.public()["times"] == {"submitted": entry.submitted}
+        # A second reopen (a racing resubmission) changes nothing.
+        assert queue.reopen(key(1)) == (entry, False)
+        assert queue.claim("w2").key == key(1)
+        queue.complete(key(1), worker="w2", elapsed=0.3)
+        replayed = JobQueue(str(tmp_path)).get(key(1))
+        assert replayed.state == "done"
+        assert (replayed.worker, replayed.elapsed, replayed.claims) == \
+            ("w2", 0.3, 2)
+        assert replayed.run_id == "r1"
+
+    def test_racing_reopens_rerun_once(self, tmp_path):
+        queue = JobQueue(str(tmp_path))
+        queue.submit(key(1), payload(1))
+        queue.claim("w1")
+        queue.complete(key(1), worker="w1")
+        outcomes = []
+        threads = [threading.Thread(
+            target=lambda: outcomes.append(queue.reopen(key(1))[1]))
+            for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(outcomes) == [False] * 7 + [True]
+        with open(queue.journal_path, encoding="utf-8") as handle:
+            events = [json.loads(line)["event"] for line in handle]
+        assert events.count("submit") == 2
 
 
 class TestLeases:
@@ -246,3 +292,20 @@ class TestSnapshot:
         snap = queue.snapshot()  # lease_seconds=0 → lapsed immediately
         assert snap["counts"]["pending"] == 1
         assert snap["counts"]["running"] == 0
+
+
+class TestRunIdThreading:
+    def test_service_journal_carries_submission_run_id(self, tmp_path):
+        queue = JobQueue(str(tmp_path / "svc"))
+        queue.submit("k1", {"benchmark": "gzip"}, run_id="cafecafe")
+        entry = queue.claim("worker-1")
+        assert entry.run_id == "cafecafe"
+        assert entry.public()["run_id"] == "cafecafe"
+        queue.complete("k1", worker="worker-1", elapsed=0.5)
+        with open(tmp_path / "svc" / "queue.jsonl",
+                  encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle]
+        assert [r.get("run_id") for r in records] == ["cafecafe"] * 3
+        # A journal replay reconstructs the correlation too.
+        replayed = JobQueue(str(tmp_path / "svc"))
+        assert replayed.get("k1").run_id == "cafecafe"
