@@ -3,20 +3,25 @@
 Hypothesis generates random (small) workload profiles and machine shapes;
 the pipeline must preserve its architectural invariants on every one:
 retirement matches functional execution, no deadlock, no counter going
-negative, statistics staying within their domains.
+negative, statistics staying within their domains.  The differential
+tests at the end hold the event-driven pipeline to the slow reference
+scheduler in ``tests/reference_core.py``, cycle for cycle.
 """
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.assign.base import StrategySpec
-from repro.cluster.config import MachineConfig
+from repro.cluster.config import FORWARD_MODES, MachineConfig
 from repro.core.pipeline import Pipeline
+from repro.core.simulator import Simulator
 from repro.workloads.execution import FunctionalSimulator
 from repro.workloads.generator import generate_program
-from repro.workloads.profiles import WorkloadProfile
+from repro.workloads.profiles import WorkloadProfile, profile_for
+from tests.reference_core import ReferencePipeline
 
 
 @st.composite
@@ -97,3 +102,83 @@ def test_rob_capacity_never_exceeded(profile):
     for _ in range(800):
         pipeline.step()
         assert len(pipeline.rob) <= 24
+
+
+# ----------------------------------------------------------------------
+# Differential check against the reference scheduler.
+# ----------------------------------------------------------------------
+@st.composite
+def oracle_machines(draw):
+    """Machine shapes that stress select: few D-cache ports, small
+    stations and store buffers, every forwarding-latency mode."""
+    num_clusters = draw(st.sampled_from([2, 4]))
+    return MachineConfig(
+        width=4 * num_clusters,
+        num_clusters=num_clusters,
+        interconnect=draw(st.sampled_from(["chain", "ring"])),
+        hop_latency=draw(st.integers(1, 3)),
+        rob_entries=draw(st.sampled_from([32, 128])),
+        rs_entries=draw(st.sampled_from([2, 4, 8])),
+        dcache_ports=draw(st.sampled_from([1, 2, 4])),
+        store_buffer_entries=draw(st.sampled_from([4, 32])),
+        load_queue_entries=draw(st.sampled_from([4, 32])),
+        fill_unit_latency=draw(st.integers(0, 20)),
+        forward_latency_mode=draw(st.sampled_from(FORWARD_MODES)),
+    )
+
+
+@st.composite
+def oracle_specs(draw):
+    kind = draw(st.sampled_from(["base", "friendly", "fdrt", "issue"]))
+    if kind == "issue":
+        return StrategySpec(kind=kind, steer_latency=draw(st.sampled_from([0, 4])))
+    if kind == "fdrt":
+        return StrategySpec(kind=kind, pinning=draw(st.booleans()),
+                            chain_confidence=draw(st.sampled_from([1, 2])))
+    return StrategySpec(kind=kind)
+
+
+def _lifetimes_and_result(pipeline_cls, program, config, spec, seed):
+    """Per-instruction timing of every retired instruction, plus the
+    measured ``SimResult`` and the final cycle."""
+    simulator = Simulator(program, spec, config=config, seed=seed)
+    if pipeline_cls is not Pipeline:
+        simulator.pipeline = pipeline_cls(program, config, spec, seed=seed)
+    pipeline = simulator.pipeline
+    lifetimes = []
+    retire = pipeline.fill_unit.retire
+
+    def record(inst, now):
+        lifetimes.append((
+            inst.seq, inst.cluster, inst.issue_cycle, inst.ready_time,
+            inst.dispatch_cycle, inst.complete_cycle, inst.retire_cycle))
+        retire(inst, now)
+
+    pipeline.fill_unit.retire = record
+    simulator.warmup(300)
+    result = simulator.run(700)
+    return lifetimes, result.to_dict(), dict(pipeline.accounting.counts), \
+        pipeline.now
+
+
+@given(profiles(), oracle_machines(), oracle_specs(), st.integers(0, 99))
+@settings(max_examples=40, deadline=None)
+def test_pipeline_matches_reference_scheduler(profile, config, spec, seed):
+    program = generate_program(profile)
+    fast = _lifetimes_and_result(Pipeline, program, config, spec, seed)
+    slow = _lifetimes_and_result(ReferencePipeline, program, config, spec,
+                                 seed)
+    assert fast[0] == slow[0]
+    assert fast[1] == slow[1]
+    assert fast[2] == slow[2]
+    assert fast[3] == slow[3]
+
+
+@pytest.mark.parametrize("name", ["gzip", "mcf", "adpcm_enc"])
+@pytest.mark.parametrize("kind", ["base", "friendly", "fdrt", "issue"])
+def test_catalog_workloads_match_reference_scheduler(name, kind):
+    program = generate_program(profile_for(name))
+    config, spec = MachineConfig(), StrategySpec(kind=kind)
+    fast = _lifetimes_and_result(Pipeline, program, config, spec, 1)
+    slow = _lifetimes_and_result(ReferencePipeline, program, config, spec, 1)
+    assert fast == slow
