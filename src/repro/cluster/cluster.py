@@ -6,15 +6,40 @@ the cluster in the dispatch cycle (zero latency) and to other clusters via
 the interconnect.  The cluster itself is policy-free: readiness and
 completion are delegated to the pipeline, which knows about producers,
 forwarding latencies and the memory system.
+
+Select is event-driven.  A buffered instruction sits in exactly one of
+four places until it dispatches:
+
+``woken``
+    accepted, or a producer it waited on has dispatched; the pipeline's
+    ``wake`` callback evaluates it at the start of this cluster's next
+    select, giving the cycle its operands arrive or ``None`` while a
+    producer is still unscheduled (the pipeline then re-queues it when
+    that producer dispatches);
+``waiting``
+    a heap of ``(ready_time, seq, inst)`` whose operands arrive later;
+``candidates``
+    operands arrived; asked ``is_ready`` (memory-port and store-order
+    checks) every select until it dispatches;
+``parked``
+    a load held behind an older store with no address; :meth:`unpark`
+    makes it a candidate again when a store dispatches.
+
+So the cluster does work only for instructions whose state can change,
+and an idle cluster costs nothing per cycle.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional
 
 from repro.isa import DynInst, OpClass
 from repro.cluster.functional_units import FunctionalUnit, make_cluster_units
 from repro.cluster.reservation_station import ReservationStation
+
+#: The stations in select-scan order.
+_STATIONS = ("mem", "br", "cpx", "simple0", "simple1")
 
 #: Which reservation station buffers each op class.
 _RS_FOR_CLASS = {
@@ -35,58 +60,56 @@ class Cluster:
         self.cluster_id = cluster_id
         self.stations: Dict[str, ReservationStation] = {
             name: ReservationStation(f"c{cluster_id}.{name}", rs_entries,
-                                     rs_write_ports)
-            for name in ("mem", "br", "cpx", "simple0", "simple1")
+                                     rs_write_ports, rank)
+            for rank, name in enumerate(_STATIONS)
         }
+        self._station_for_class = {
+            kind: self.stations[name] for kind, name in _RS_FOR_CLASS.items()
+        }
+        self._simple = (self.stations["simple0"], self.stations["simple1"])
         self.units: List[FunctionalUnit] = make_cluster_units()
         self._units_by_class: Dict[OpClass, List[FunctionalUnit]] = {}
         for unit in self.units:
             self._units_by_class.setdefault(unit.kind, []).append(unit)
         self._simple_toggle = 0
+        self.woken: List[DynInst] = []
+        self.waiting: list = []
+        self.candidates: List[DynInst] = []
+        self.parked: List[DynInst] = []
 
     # ------------------------------------------------------------------
     # Issue side.
     # ------------------------------------------------------------------
-    def _station_for(self, op_class: OpClass, now: int) -> Optional[ReservationStation]:
-        name = _RS_FOR_CLASS.get(op_class)
-        if name is not None:
-            station = self.stations[name]
-            return station if station.can_insert(now) else None
-        # Simple int/FP: pick between the two simple stations, preferring
-        # the emptier one (ties broken by a toggle for balance).
-        s0 = self.stations["simple0"]
-        s1 = self.stations["simple1"]
-        first, second = (s0, s1) if (len(s0), self._simple_toggle) <= (len(s1), 1 - self._simple_toggle) else (s1, s0)
-        for station in (first, second):
-            if station.can_insert(now):
-                self._simple_toggle ^= 1
-                return station
-        return None
+    def accept(self, inst: DynInst, now: int) -> bool:
+        """Insert ``inst`` into its reservation station; False if full.
 
-    def can_accept(self, inst: DynInst, now: int) -> bool:
-        """True if ``inst`` can be written into a station this cycle."""
-        return self._station_for(inst.static.op_class, now) is not None
+        An accepted instruction is woken: the next select evaluates it.
+        Simple int/FP ops pick between the two simple stations, preferring
+        the emptier one (ties broken by a toggle for balance).
+        """
+        station = self._station_for_class.get(inst.static.op_class)
+        if station is not None:
+            if not station.try_insert(inst, now):
+                return False
+        else:
+            s0, s1 = self._simple
+            toggle = self._simple_toggle
+            if (len(s0.entries), toggle) > (len(s1.entries), 1 - toggle):
+                s0, s1 = s1, s0
+            if not (s0.try_insert(inst, now) or s1.try_insert(inst, now)):
+                return False
+            self._simple_toggle = toggle ^ 1
+        self.woken.append(inst)
+        return True
 
     def has_space(self, inst: DynInst, now: int) -> bool:
-        """Pure variant of :meth:`can_accept` for observers.
-
-        ``_station_for`` advances the simple-station balance toggle, so
-        calling it from instrumentation would perturb placement;
-        accounting and other read-only callers use this instead.
-        """
-        name = _RS_FOR_CLASS.get(inst.static.op_class)
-        if name is not None:
-            return self.stations[name].can_insert(now)
-        return (self.stations["simple0"].can_insert(now)
-                or self.stations["simple1"].can_insert(now))
-
-    def accept(self, inst: DynInst, now: int) -> bool:
-        """Insert ``inst`` into its reservation station; False if full."""
-        station = self._station_for(inst.static.op_class, now)
-        if station is None:
-            return False
-        station.insert(inst, now)
-        return True
+        """True if :meth:`accept` would take ``inst`` in cycle ``now``
+        (pure: accounting and other read-only callers use it)."""
+        station = self._station_for_class.get(inst.static.op_class)
+        if station is not None:
+            return station.can_insert(now)
+        s0, s1 = self._simple
+        return s0.can_insert(now) or s1.can_insert(now)
 
     # ------------------------------------------------------------------
     # Execute side.
@@ -94,48 +117,87 @@ class Cluster:
     def dispatch_cycle(
         self,
         now: int,
-        is_ready: Callable[[DynInst, int], bool],
+        wake: Callable[[DynInst], Optional[int]],
+        is_ready: Callable[[DynInst, int], Optional[bool]],
         on_dispatch: Callable[[DynInst, FunctionalUnit, int], None],
     ) -> int:
         """Select and dispatch ready instructions onto free units.
 
-        Readiness is evaluated once per buffered instruction per cycle;
-        ready instructions then compete oldest-first for the free units of
-        their class.  Returns the number of dispatches.
+        Woken entries are evaluated first (``wake``), then every entry
+        whose operands have arrived by ``now`` is asked ``is_ready``:
+        True dispatches it, False retries it next cycle and None parks it
+        until :meth:`unpark`.  Ready instructions compete oldest-first for
+        the free units of their class; classes take turns in the order
+        their oldest ready entry appears in the station scan.  Returns
+        the number of dispatches.
         """
-        ready_by_class: dict = {}
-        for station in self.stations.values():
-            entries = station.entries
-            if not entries:
-                continue
-            for inst in entries:
-                if is_ready(inst, now):
-                    key = inst.static.op_class
-                    bucket = ready_by_class.get(key)
-                    if bucket is None:
-                        ready_by_class[key] = bucket = []
-                    bucket.append((inst.seq, inst, station))
-        if not ready_by_class:
+        woken = self.woken
+        waiting = self.waiting
+        if woken:
+            self.woken = []
+            for inst in woken:
+                ready = wake(inst)
+                if ready is not None:
+                    heappush(waiting, (ready, inst.seq, inst))
+        candidates = self.candidates
+        while waiting and waiting[0][0] <= now:
+            candidates.append(heappop(waiting)[2])
+        if not candidates:
             return 0
+        held: List[DynInst] = []
+        ready_list = []
+        for inst in candidates:
+            verdict = is_ready(inst, now)
+            if verdict:
+                ready_list.append(inst)
+            elif verdict is None:
+                self.parked.append(inst)
+            else:
+                held.append(inst)
+        self.candidates = held
+        if not ready_list:
+            return 0
+        if len(ready_list) == 1:
+            inst = ready_list[0]
+            for unit in self._units_by_class[inst.static.op_class]:
+                if now >= unit.busy_until:
+                    inst.station.entries.remove(inst)
+                    on_dispatch(inst, unit, now)
+                    return 1
+            held.append(inst)
+            return 0
+        # Group by class in scan order; each group oldest first.
+        by_class: dict = {}
+        for _rank, seq, inst in sorted([
+                (inst.station.rank, inst.seq, inst) for inst in ready_list]):
+            kind = inst.static.op_class
+            group = by_class.get(kind)
+            if group is None:
+                by_class[kind] = [(seq, inst)]
+            else:
+                group.append((seq, inst))
         dispatched = 0
-        for kind, candidates in ready_by_class.items():
-            free_units = [
-                u for u in self._units_by_class[kind] if u.free(now)
-            ]
-            if not free_units:
-                continue
-            candidates.sort()
-            for unit, (_seq, inst, station) in zip(free_units, candidates):
-                station.remove(inst)
-                on_dispatch(inst, unit, now)
-                dispatched += 1
+        for kind, group in by_class.items():
+            if len(group) > 1:
+                group.sort()
+            picked = 0
+            for unit in self._units_by_class[kind]:
+                if now >= unit.busy_until:
+                    inst = group[picked][1]
+                    inst.station.entries.remove(inst)
+                    on_dispatch(inst, unit, now)
+                    picked += 1
+                    if picked == len(group):
+                        break
+            dispatched += picked
+            for _seq, inst in group[picked:]:
+                held.append(inst)
         return dispatched
 
-    def _stations_feeding(self, kind: OpClass) -> List[ReservationStation]:
-        if kind in (OpClass.SIMPLE_INT, OpClass.SIMPLE_FP):
-            return [self.stations["simple0"], self.stations["simple1"]]
-        name = _RS_FOR_CLASS[kind]
-        return [self.stations[name]]
+    def unpark(self) -> None:
+        """Make every parked load a select candidate again."""
+        self.candidates.extend(self.parked)
+        self.parked.clear()
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -143,7 +205,7 @@ class Cluster:
     @property
     def occupancy(self) -> int:
         """Total buffered instructions across all stations."""
-        return sum(len(s) for s in self.stations.values())
+        return sum([len(s.entries) for s in self.stations.values()])
 
     def clear(self) -> None:
         """Drop all buffered instructions (pipeline reset)."""
@@ -151,3 +213,7 @@ class Cluster:
             station.clear()
         for unit in self.units:
             unit.busy_until = -1
+        self.woken.clear()
+        self.waiting.clear()
+        self.candidates.clear()
+        self.parked.clear()

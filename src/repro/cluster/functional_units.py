@@ -57,7 +57,3 @@ def make_cluster_units() -> List[FunctionalUnit]:
         FunctionalUnit(OpClass.FP_MEM, "fpmem"),
     ]
 
-
-def units_for_class(units: List[FunctionalUnit], kind: OpClass) -> List[FunctionalUnit]:
-    """The subset of ``units`` that execute instructions of ``kind``."""
-    return [u for u in units if u.kind == kind]

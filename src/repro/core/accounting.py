@@ -89,6 +89,17 @@ class CycleAccounting:
             return
         self.counts[self._classify(pipeline)] += lost
 
+    def observe_idle(self, pipeline, cycles: int) -> None:
+        """Charge ``cycles`` consecutive cycles in which nothing retires.
+
+        The pipeline skips a span only while no stage can change state,
+        so the blocker :meth:`_classify` finds at its first cycle blocks
+        every cycle of it: this equals ``cycles`` calls of
+        ``observe(pipeline, 0)``.
+        """
+        self.cycles += cycles
+        self.counts[self._classify(pipeline)] += self.width * cycles
+
     def _classify(self, pipeline) -> Tuple[str, str]:
         """(cluster key, category) blocking the ROB head this cycle.
 

@@ -28,6 +28,9 @@ from repro.tracecache.trace import TraceLine
 from repro.tracecache.trace_cache import TraceCache
 from repro.workloads.execution import FunctionalSimulator
 
+#: A cycle no simulation reaches ("no event scheduled").
+NEVER = 1 << 62
+
 
 class StreamCursor:
     """Buffered lookahead over the committed instruction stream."""
@@ -117,6 +120,21 @@ class FetchEngine:
         if now < self._blocked_until:
             return "icache_miss"
         return None
+
+    def resume_cycle(self, now: int) -> int:
+        """First cycle ``>= now`` in which fetch is not stalled (pure).
+
+        :data:`NEVER` while an unresolved mispredicted branch blocks
+        fetch: its resolve cycle is not known until it dispatches.
+        """
+        until = self._blocked_until
+        branch = self._blocked_branch
+        if branch is not None:
+            resolve = branch.complete_cycle
+            if resolve < 0:
+                return NEVER
+            until = max(until, resolve + self.config.redirect_penalty)
+        return until if until > now else now
 
     def fetch(self, now: int) -> Tuple[List[DynInst], int]:
         """Fetch one packet; returns (instructions, extra_ready_delay).

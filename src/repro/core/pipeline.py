@@ -23,6 +23,14 @@ approximation, see DESIGN.md):
 * Loads do not pass older stores with unresolved addresses (no
   speculative disambiguation), stores complete into the store buffer, and
   loads may forward from it.
+
+The execute core is event-driven (DESIGN.md §5b).  A consumer is
+evaluated when it issues and again only when the producer it waits for
+dispatches and so fixes its completion cycle; a load held behind an older
+store is re-checked only when a store dispatches; and :meth:`run` jumps
+over cycles in which no stage can change state, charging them to cycle
+accounting in one step.  The timing is the one a scan of every
+reservation-station entry every cycle produces, cycle for cycle.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.config import MachineConfig
 from repro.cluster.interconnect import Interconnect
 from repro.core.accounting import CycleAccounting
-from repro.core.fetch import FetchEngine, StreamCursor
+from repro.core.fetch import NEVER, FetchEngine, StreamCursor
 from repro.core.stats import SimStats
 from repro.isa import DynInst
 from repro.isa.instruction import LeaderFollower
@@ -50,9 +58,6 @@ from repro.workloads.program import Program
 
 #: Cycles without a retirement before the simulator declares deadlock.
 _WATCHDOG_CYCLES = 50_000
-
-#: ``next_due`` while no periodic tap is registered.
-_NEVER = 1 << 62
 
 
 class Pipeline:
@@ -139,18 +144,38 @@ class Pipeline:
         self._zero_critical = mode == "zero_critical"
         self._zero_intra = mode == "zero_intra_trace"
         self._zero_inter = mode == "zero_inter_trace"
+        #: Forwarding latency depends on trace membership, not only on
+        #: the hop count, in these two modes.
+        self._by_trace = self._zero_intra or self._zero_inter
 
     # ------------------------------------------------------------------
     # Public driving interface.
     # ------------------------------------------------------------------
     def run(self, max_instructions: int) -> SimStats:
-        """Simulate until ``max_instructions`` retire (or stream ends)."""
-        target = self.stats.retired + max_instructions
-        next_due = min((entry[0] for entry in self.periodic), default=_NEVER)
-        while self.stats.retired < target:
+        """Simulate until ``max_instructions`` retire (or stream ends).
+
+        Runs of two or more cycles in which no stage can change state
+        are not stepped one by one: ``now`` moves straight to the next
+        event (see :meth:`_next_event`), clamped so periodic taps fire
+        and the deadlock watchdog trips in exactly the cycles they would
+        if every cycle were stepped.  A tap due every cycle therefore
+        makes ``run`` step every cycle.
+        """
+        stats = self.stats
+        target = stats.retired + max_instructions
+        next_due = min((entry[0] for entry in self.periodic), default=NEVER)
+        while stats.retired < target:
             if self._drained():
                 break
-            self.step()
+            now = self.now
+            until = self._next_event(now)
+            if until > now + 1:
+                until = min(until, next_due,
+                            self._last_retire_cycle + _WATCHDOG_CYCLES + 1)
+            if until > now + 1:
+                self._idle(until)
+            else:
+                self.step()
             if self.now >= next_due:
                 next_due = self._fire_periodic()
             if self.now - self._last_retire_cycle > _WATCHDOG_CYCLES:
@@ -158,7 +183,7 @@ class Pipeline:
                     f"pipeline deadlock at cycle {self.now}: "
                     f"rob={len(self.rob)} frontend={len(self.frontend)}"
                 )
-        return self.stats
+        return stats
 
     def reset_stats(self) -> None:
         """Zero all statistics after warmup; machine state is preserved."""
@@ -205,12 +230,13 @@ class Pipeline:
             if now >= entry[0]:
                 entry[0] = now + entry[1]
                 entry[2](self)
-        return min((entry[0] for entry in self.periodic), default=_NEVER)
+        return min((entry[0] for entry in self.periodic), default=NEVER)
 
     # ------------------------------------------------------------------
-    # One cycle.
+    # One cycle, and runs of cycles in which nothing happens.
     # ------------------------------------------------------------------
     def step(self) -> None:
+        """Simulate exactly one cycle."""
         now = self.now
         retired_before = self.stats.retired
         self._retire(now)
@@ -224,36 +250,117 @@ class Pipeline:
         self.stats.cycles += 1
         self.now = now + 1
 
+    def _next_event(self, now: int) -> int:
+        """The first cycle ``>= now`` in which some stage can act.
+
+        ``now`` if retire, select, fill, issue or fetch has work this
+        cycle.  Otherwise the machine is quiescent and the answer is the
+        earliest of: the ROB head's completion, the next operand arrival
+        in any cluster, the next fill-unit install, the front-end head's
+        ready cycle (when the ROB has room) and the end of a fetch stall
+        — :data:`NEVER` if none is scheduled.  Every other change is a
+        consequence of one of these.
+        """
+        horizon = NEVER
+        rob = self.rob
+        if rob:
+            complete = rob[0].complete_cycle
+            if complete >= 0:
+                if complete <= now:
+                    return now
+                horizon = complete
+        for cluster in self.clusters:
+            if cluster.woken or cluster.candidates:
+                return now
+            waiting = cluster.waiting
+            if waiting:
+                ready = waiting[0][0]
+                if ready <= now:
+                    return now
+                if ready < horizon:
+                    horizon = ready
+        frontend = self.frontend
+        config = self.config
+        if len(frontend) < 2 * config.width and not self.cursor.exhausted:
+            resume = self.fetch_engine.resume_cycle(now)
+            if resume <= now:
+                return now
+            if resume < horizon:
+                horizon = resume
+        if frontend and len(rob) < config.rob_entries:
+            ready, inst = frontend[0]
+            if ready > now:
+                if ready < horizon:
+                    horizon = ready
+            elif self._can_issue(inst, now):
+                return now
+        install = self.fill_unit.next_install()
+        if install is not None:
+            if install <= now:
+                return now
+            if install < horizon:
+                horizon = install
+        return horizon
+
+    def _can_issue(self, inst: DynInst, now: int) -> bool:
+        """True if the ready front-end head would issue in cycle ``now``
+        (pure: steering is only evaluated, not applied)."""
+        if not self._mem_slot_available(inst):
+            return False
+        if self.steerer is None:
+            cluster_id = inst.slot_cluster
+        else:
+            loads = [cluster.occupancy for cluster in self.clusters]
+            cluster_id = self.steerer.steer([inst], loads)[0]
+            if cluster_id is None:
+                return False
+        return self.clusters[cluster_id].has_space(inst, now)
+
+    def _idle(self, until: int) -> None:
+        """Advance ``now`` to ``until`` over cycles in which no stage can
+        change state: only the cycle count and cycle accounting move."""
+        cycles = until - self.now
+        self.accounting.observe_idle(self, cycles)
+        self.stats.cycles += cycles
+        self.now = until
+
     # ------------------------------------------------------------------
     # Retire.
     # ------------------------------------------------------------------
     def _retire(self, now: int) -> None:
         rob = self.rob
         retired = 0
-        last_seq = -1
+        from_tc = 0
         width = self.config.width
+        producers = self.regfile.producers
+        fill_retire = self.fill_unit.retire
         observers = self.observers
         while rob and retired < width:
             head = rob[0]
-            if head.complete_cycle < 0 or head.complete_cycle > now:
+            complete = head.complete_cycle
+            if complete < 0 or complete > now:
                 break
             rob.popleft()
             head.retire_cycle = now
-            dest = head.static.dest
-            if dest is not None:
-                self.regfile.clear_producer(dest, head)
-            if head.static.is_store:
+            static = head.static
+            dest = static.dest
+            if dest is not None and producers[dest] is head:
+                # Consumers renamed from now on read the register file.
+                producers[dest] = None
+            if static.is_store:
                 self._inflight_stores -= 1
-            self.fill_unit.retire(head, now)
+            fill_retire(head, now)
             if observers:
                 for observer in observers:
                     observer.on_retire(head, now)
-            self.stats.retired += 1
             if head.from_trace_cache:
-                self.stats.retired_from_tc += 1
+                from_tc += 1
             last_seq = head.seq
             retired += 1
         if retired:
+            stats = self.stats
+            stats.retired += retired
+            stats.retired_from_tc += from_tc
             self.memory.retire_up_to(last_seq)
             self._last_retire_cycle = now
 
@@ -261,99 +368,118 @@ class Pipeline:
     # Execute.
     # ------------------------------------------------------------------
     def _execute(self, now: int) -> None:
+        wake = self._wake
         is_ready = self._is_ready
         on_dispatch = self._on_dispatch
         for cluster in self.clusters:
-            cluster.dispatch_cycle(now, is_ready, on_dispatch)
+            waiting = cluster.waiting
+            if cluster.woken or cluster.candidates or (
+                    waiting and waiting[0][0] <= now):
+                cluster.dispatch_cycle(now, wake, is_ready, on_dispatch)
 
-    def _is_ready(self, inst: DynInst, now: int) -> bool:
-        ready = inst.ready_time
-        if ready is None:
-            blocker = inst.wait_producer
-            if blocker is not None and blocker.complete_cycle < 0:
-                return False
-            ready = self._compute_ready(inst)
-            if ready is None:
-                return False
-            inst.ready_time = ready
-        if ready > now:
-            return False
+    def _wake(self, inst: DynInst) -> Optional[int]:
+        """Evaluate a woken instruction: the cycle all of its operands
+        have arrived in its cluster (also stored as ``ready_time``), or
+        None when a forwarded producer has not dispatched yet — the
+        instruction then waits on the first such producer and is woken
+        again when it dispatches.
+        """
+        issue_cycle = inst.issue_cycle
+        producers = inst.src_producers
+        if not producers:
+            inst.critical_src = -1
+            inst.ready_time = ready = issue_cycle + 1
+            return ready
+        forwarded = inst.src_forwarded
+        rf_ready = issue_cycle + self.config.rf_latency
+        cluster = inst.cluster
+        hops = self.interconnect.hops
+        hop_latency = self.interconnect.hop_latency
+        # Arrival of each operand; the last to arrive (the first of
+        # equals) is the critical input.
+        arrivals = []
+        critical = latest = -1
+        index = 0
+        for producer in producers:
+            if forwarded[index]:
+                complete = producer.complete_cycle
+                if complete < 0:
+                    inst.wait_producer = producer
+                    waiters = producer.waiters
+                    if waiters is None:
+                        producer.waiters = [inst]
+                    else:
+                        waiters.append(inst)
+                    return None
+                if self._zero_all or (self._by_trace and (
+                        producer.trace_instance == inst.trace_instance)
+                        == self._zero_intra):
+                    arrival = complete
+                else:
+                    arrival = complete + (
+                        hops[producer.cluster][cluster] * hop_latency)
+            else:
+                arrival = rf_ready
+            arrivals.append(arrival)
+            if arrival > latest:
+                critical, latest = index, arrival
+            index += 1
+        if self._zero_critical:
+            # Figure 5 "No Crit Fwd Lat": the last-arriving *forwarded*
+            # value loses its forwarding latency.
+            last_fwd = -1
+            for i in range(index):
+                if forwarded[i] and (
+                        last_fwd < 0 or arrivals[i] > arrivals[last_fwd]):
+                    last_fwd = i
+            if last_fwd >= 0:
+                arrivals[last_fwd] = producers[last_fwd].complete_cycle
+                critical = latest = -1
+                for i in range(index):
+                    if arrivals[i] > latest:
+                        critical, latest = i, arrivals[i]
+        # Interconnect activity: every forwarded operand travels the
+        # producer-to-consumer distance once (energy accounting).
+        stats = self.stats
+        index = 0
+        for producer in producers:
+            if forwarded[index]:
+                stats.forwarded_operands += 1
+                stats.forwarded_hops += hops[producer.cluster][cluster]
+            index += 1
+        inst.critical_src = critical
+        if forwarded[critical]:
+            producer = producers[critical]
+            inst.critical_forwarded = True
+            inst.critical_producer = producer
+            inst.critical_distance = hops[producer.cluster][cluster]
+            inst.critical_inter_trace = (
+                producer.trace_instance != inst.trace_instance
+            )
+        base = issue_cycle + 1
+        inst.ready_time = ready = latest if latest > base else base
+        return ready
+
+    def _is_ready(self, inst: DynInst, now: int) -> Optional[bool]:
+        """Select-time check of an instruction whose operands have
+        arrived: True if it may dispatch, False while no D-cache port is
+        free this cycle, None for a load behind an older store with no
+        address yet (no speculative disambiguation) — the cluster parks
+        it until a store dispatches."""
         static = inst.static
-        if static.is_mem:
-            if not self.memory.port_available(now):
-                return False
-            # No speculative disambiguation: a load may not execute until
-            # every older store has generated its address.
-            if static.is_load and self._oldest_pending_store_seq() < inst.seq:
-                return False
+        if not static.is_mem:
+            return True
+        if not self.memory.port_available(now):
+            return False
+        if static.is_load and self._oldest_pending_store_seq() < inst.seq:
+            return None
         return True
 
     def _oldest_pending_store_seq(self) -> int:
         heap = self._pending_stores
         while heap and heap[0][1].dispatch_cycle >= 0:
             heapq.heappop(heap)
-        return heap[0][0] if heap else 1 << 62
-
-    def _forward_latency(self, producer: DynInst, consumer: DynInst) -> int:
-        if self._zero_all:
-            return 0
-        same_trace = producer.trace_instance == consumer.trace_instance
-        if self._zero_intra and same_trace:
-            return 0
-        if self._zero_inter and not same_trace:
-            return 0
-        return self.interconnect.forward_latency(producer.cluster, consumer.cluster)
-
-    def _compute_ready(self, inst: DynInst) -> Optional[int]:
-        """Wake-up time of ``inst`` in its cluster; None if unknown yet."""
-        issue_cycle = inst.issue_cycle
-        base = issue_cycle + 1
-        producers = inst.src_producers
-        if not producers:
-            inst.critical_src = -1
-            return base
-        forwarded = inst.src_forwarded
-        rf_ready = issue_cycle + self.config.rf_latency
-        arrivals: List[int] = []
-        for i, producer in enumerate(producers):
-            if forwarded[i]:
-                complete = producer.complete_cycle
-                if complete < 0:
-                    inst.wait_producer = producer
-                    return None
-                arrivals.append(complete + self._forward_latency(producer, inst))
-            else:
-                arrivals.append(rf_ready)
-        # Critical input: the operand arriving last.
-        critical = max(range(len(arrivals)), key=arrivals.__getitem__)
-        if self._zero_critical:
-            # Figure 5 "No Crit Fwd Lat": the last-arriving *forwarded*
-            # value loses its forwarding latency.
-            fwd_indices = [i for i in range(len(arrivals)) if forwarded[i]]
-            if fwd_indices:
-                last_fwd = max(fwd_indices, key=arrivals.__getitem__)
-                arrivals[last_fwd] = producers[last_fwd].complete_cycle
-                critical = max(range(len(arrivals)), key=arrivals.__getitem__)
-        # Interconnect activity: every forwarded operand travels the
-        # producer-to-consumer distance once (energy accounting).
-        stats = self.stats
-        for i, producer in enumerate(producers):
-            if forwarded[i]:
-                stats.forwarded_operands += 1
-                stats.forwarded_hops += self.interconnect.distance(
-                    producer.cluster, inst.cluster)
-        inst.critical_src = critical
-        if forwarded[critical]:
-            producer = producers[critical]
-            inst.critical_forwarded = True
-            inst.critical_producer = producer
-            inst.critical_distance = self.interconnect.distance(
-                producer.cluster, inst.cluster
-            )
-            inst.critical_inter_trace = (
-                producer.trace_instance != inst.trace_instance
-            )
-        return max(base, max(arrivals))
+        return heap[0][0] if heap else NEVER
 
     def _on_dispatch(self, inst: DynInst, fu, now: int) -> None:
         inst.dispatch_cycle = now
@@ -364,8 +490,19 @@ class Pipeline:
                 inst.seq, inst.mem_addr, static.is_store, now + exec_latency
             )
             inst.complete_cycle = now + exec_latency + mem_latency
+            if static.is_store:
+                # Loads parked behind this store's address re-check.
+                for cluster in self.clusters:
+                    if cluster.parked:
+                        cluster.unpark()
         else:
             inst.complete_cycle = now + exec_latency
+        waiters = inst.waiters
+        if waiters is not None:
+            inst.waiters = None
+            clusters = self.clusters
+            for consumer in waiters:
+                clusters[consumer.cluster].woken.append(consumer)
         self.stats.record_critical(inst, self.interconnect)
         observers = self.observers
         if observers:
@@ -450,15 +587,19 @@ class Pipeline:
         frontend = self.frontend
         if not frontend:
             return
-        rob_space = self.config.rob_entries - len(self.rob)
+        config = self.config
+        rob_space = config.rob_entries - len(self.rob)
         if rob_space <= 0:
             return
-        width = min(self.config.width, rob_space)
+        width = min(config.width, rob_space)
         if self.steerer is not None:
             self._issue_steered(now, width)
             return
-        cap = self.config.max_issue_per_cluster
-        issued_per_cluster = [0] * self.config.num_clusters
+        cap = config.max_issue_per_cluster
+        issued_per_cluster = [0] * config.num_clusters
+        clusters = self.clusters
+        mem_slot_available = self._mem_slot_available
+        note_issue = self._note_issue
         issued = 0
         while frontend and issued < width:
             ready, inst = frontend[0]
@@ -467,12 +608,12 @@ class Pipeline:
             cluster_id = inst.slot_cluster
             if issued_per_cluster[cluster_id] >= cap:
                 break
-            if not self._mem_slot_available(inst):
+            if inst.static.is_mem and not mem_slot_available(inst):
                 break
-            if not self.clusters[cluster_id].accept(inst, now):
+            if not clusters[cluster_id].accept(inst, now):
                 break
             frontend.popleft()
-            self._note_issue(inst, cluster_id, now)
+            note_issue(inst, cluster_id, now)
             issued_per_cluster[cluster_id] += 1
             issued += 1
 
@@ -490,7 +631,7 @@ class Pipeline:
         for inst, cluster_id in zip(window, choices):
             if cluster_id is None:
                 break
-            if not self._mem_slot_available(inst):
+            if inst.static.is_mem and not self._mem_slot_available(inst):
                 break
             if not self.clusters[cluster_id].accept(inst, now):
                 break
@@ -511,30 +652,38 @@ class Pipeline:
         inst.cluster = cluster_id
         producers = inst.src_producers
         if producers:
-            flags = []
-            for i, producer in enumerate(producers):
-                forwarded = (
-                    producer is not None
-                    and (producer.retire_cycle < 0 or producer.retire_cycle > now)
-                )
-                flags.append(forwarded)
-                if forwarded:
-                    self.stats.record_forwarded_input(
-                        inst.static.pc, i, producer.static.pc
-                    )
-            inst.src_forwarded = tuple(flags)
-        if inst.static.is_store:
-            heapq.heappush(self._pending_stores, (inst.seq, inst))
-            self._inflight_stores += 1
-        elif inst.static.is_load:
-            self.memory.load_queue.insert(inst.seq)
+            # An operand is forwarded while its producer has not retired
+            # (retire runs before issue, so "retired" means by now).  An
+            # instruction has at most two sources.
+            record = self.stats.record_forwarded_input
+            pc = inst.static.pc
+            producer = producers[0]
+            first = producer is not None and producer.retire_cycle < 0
+            if first:
+                record(pc, 0, producer.static.pc)
+            if len(producers) == 1:
+                inst.src_forwarded = (first,)
+            else:
+                producer = producers[1]
+                second = producer is not None and producer.retire_cycle < 0
+                if second:
+                    record(pc, 1, producer.static.pc)
+                inst.src_forwarded = (first, second)
+        static = inst.static
+        if static.is_mem:
+            if static.is_store:
+                heapq.heappush(self._pending_stores, (inst.seq, inst))
+                self._inflight_stores += 1
+            else:
+                self.memory.load_queue.insert(inst.seq)
         self.rob.append(inst)
 
     # ------------------------------------------------------------------
     # Fetch / decode / rename.
     # ------------------------------------------------------------------
     def _fetch(self, now: int) -> None:
-        if len(self.frontend) >= 2 * self.config.width:
+        frontend = self.frontend
+        if len(frontend) >= 2 * self.config.width:
             return
         packet, extra_delay = self.fetch_engine.fetch(now)
         if not packet:
@@ -544,14 +693,18 @@ class Pipeline:
             for observer in observers:
                 observer.on_fetch(packet, now)
         ready = now + self._frontend_depth + extra_delay
-        regfile = self.regfile
+        producers = self.regfile.producers
+        append = frontend.append
         for inst in packet:
-            srcs = inst.static.srcs
+            static = inst.static
+            srcs = static.srcs
             if srcs:
-                inst.src_producers = tuple(
-                    regfile.producer(reg) for reg in srcs
-                )
-            dest = inst.static.dest
+                if len(srcs) == 1:
+                    inst.src_producers = (producers[srcs[0]],)
+                else:
+                    inst.src_producers = (
+                        producers[srcs[0]], producers[srcs[1]])
+            dest = static.dest
             if dest is not None:
-                regfile.set_producer(dest, inst)
-            self.frontend.append((ready, inst))
+                producers[dest] = inst
+            append((ready, inst))

@@ -156,8 +156,12 @@ class DynInst:
         "src_forwarded",
         # Cached wake-up time within the assigned cluster (None = unknown).
         "ready_time",
-        # Producer blocking the wake-up computation (fast re-check).
+        # Producer whose completion the wake-up computation waits for.
         "wait_producer",
+        # Consumers waiting for this instruction's completion (or None).
+        "waiters",
+        # Reservation station buffering the instruction until dispatch.
+        "station",
         # Timing (cycle numbers; -1 = not yet reached).
         "fetch_cycle",
         "issue_cycle",
@@ -192,6 +196,8 @@ class DynInst:
         self.src_forwarded: Tuple[bool, ...] = ()
         self.ready_time: Optional[int] = None
         self.wait_producer: Optional["DynInst"] = None
+        self.waiters: Optional[list] = None
+        self.station = None
         self.fetch_cycle = -1
         self.issue_cycle = -1
         self.dispatch_cycle = -1

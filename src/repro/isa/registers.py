@@ -52,21 +52,22 @@ class RegisterFile:
     source operand, which in-flight instruction (if any) produces it.  The
     stored values are opaque tokens (dynamic-instruction objects or
     sequence numbers); ``None`` means the architectural value is already in
-    the register file.
+    the register file.  ``producers`` is the table itself, indexed by
+    register id; the pipeline's rename and retire paths index it directly.
     """
 
-    __slots__ = ("_producers",)
+    __slots__ = ("producers",)
 
     def __init__(self) -> None:
-        self._producers: List[Optional[object]] = [None] * NUM_REGS
+        self.producers: List[Optional[object]] = [None] * NUM_REGS
 
     def producer(self, reg: Register) -> Optional[object]:
         """Return the token of the in-flight producer of ``reg``."""
-        return self._producers[reg]
+        return self.producers[reg]
 
     def set_producer(self, reg: Register, token: object) -> None:
         """Record ``token`` as the newest producer of ``reg``."""
-        self._producers[reg] = token
+        self.producers[reg] = token
 
     def clear_producer(self, reg: Register, token: object) -> None:
         """Forget ``token`` if it is still the newest producer of ``reg``.
@@ -75,10 +76,10 @@ class RegisterFile:
         the architectural register file, consumers read the value from the
         register file rather than via forwarding.
         """
-        if self._producers[reg] is token:
-            self._producers[reg] = None
+        if self.producers[reg] is token:
+            self.producers[reg] = None
 
     def reset(self) -> None:
         """Forget all producers (pipeline flush of the rename state)."""
         for i in range(NUM_REGS):
-            self._producers[i] = None
+            self.producers[i] = None

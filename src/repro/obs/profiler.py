@@ -17,10 +17,13 @@ split into the four pipeline phases —
 — and the profiler accumulates seconds per phase, optionally bucketed
 into fixed-cycle-width samples for flame-chart export.  Attaching puts
 timing wrappers on the pipeline *instance* around the stage calls of
-:meth:`Pipeline.step` (five clock reads per cycle); detaching deletes
-them, so unprofiled runs pay nothing, and the wrappers only *time* the
-existing stage calls — simulated results are byte-identical with the
-profiler on or off.
+:meth:`Pipeline.step` (five clock reads per stepped cycle); detaching
+deletes them, so unprofiled runs pay nothing, and the wrappers only
+*time* the existing stage calls — simulated results are byte-identical
+with the profiler on or off.  :meth:`Pipeline.run` does not step the
+cycles in which no stage can act; :attr:`PhaseProfiler.steps` still
+counts every simulated cycle the profiler covered, charging those with
+zero time.
 
 Outputs:
 
@@ -73,7 +76,10 @@ class PhaseProfiler:
                 f"sample_cycles must be >= 0, got {sample_cycles}")
         self.sample_cycles = sample_cycles
         self.seconds: Dict[str, float] = {phase: 0.0 for phase in PHASES}
+        #: Simulated cycles covered, stepped or skipped.
         self.steps = 0
+        #: The cycle after the last one accounted (None before any).
+        self._next_cycle: Optional[int] = None
         #: ``(first_cycle, {phase: seconds})`` per completed sample.
         self.samples: List[tuple] = []
         self._clock = _clock
@@ -124,6 +130,7 @@ class PhaseProfiler:
         pipeline._issue, pipeline._fetch = timed_issue, timed_fetch
         pipeline.fill_unit.tick = timed_tick
         self._pipeline = pipeline
+        self._next_cycle = pipeline.now
         return self
 
     def detach(self) -> None:
@@ -147,13 +154,16 @@ class PhaseProfiler:
     # ------------------------------------------------------------------
     def account(self, execute: float, fill: float, assign: float,
                 fetch: float, cycle: int) -> None:
-        """Charge one step's phase durations (seconds) at ``cycle``."""
+        """Charge one step's phase durations (seconds) at ``cycle``,
+        plus zero time for the cycles skipped since the previous step."""
         seconds = self.seconds
         seconds["execute"] += execute
         seconds["fill"] += fill
         seconds["assign"] += assign
         seconds["fetch"] += fetch
-        self.steps += 1
+        following = self._next_cycle
+        self.steps += 1 if following is None else cycle + 1 - following
+        self._next_cycle = cycle + 1
         if not self.sample_cycles:
             return
         if self._open_start is None:

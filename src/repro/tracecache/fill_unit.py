@@ -82,7 +82,8 @@ class FillUnit:
         """Feed one retiring instruction (in program order)."""
         self._now = now
         pending = self._pending
-        if len(pending) >= self.config.width or (
+        width = self.config.width
+        if len(pending.insts) >= width or (
             pending.num_blocks >= self.config.tc_max_blocks
             and pending.would_open_block(inst)
         ):
@@ -91,8 +92,8 @@ class FillUnit:
         pending.add(inst)
         if (
             inst.static.branch_kind == BranchKind.RETURN
-            or len(pending) >= self.config.width
-            or self._is_backward_taken(inst)
+            or len(pending.insts) >= width
+            or (inst.taken and self._is_backward_taken(inst))
         ):
             self._finalize(now)
 
@@ -115,6 +116,15 @@ class FillUnit:
     def flush(self, now: int) -> None:
         """Finalise any partial trace (end of simulation)."""
         self._finalize(now)
+
+    def next_install(self) -> Optional[int]:
+        """Cycle of the earliest pending line install, or ``None``.
+
+        Lines queue in retire order with a fixed latency, so the queue
+        is sorted by install cycle.
+        """
+        queue = self._install_queue
+        return queue[0][0] if queue else None
 
     def tick(self, now: int) -> None:
         """Install lines whose fill latency has elapsed."""

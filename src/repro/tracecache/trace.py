@@ -10,6 +10,7 @@ paper's fill unit marks it.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import List, Optional, Tuple
 
 from repro.isa import Instruction
@@ -17,6 +18,8 @@ from repro.isa.instruction import LeaderFollower
 
 #: (start_pc, internal conditional-branch directions)
 TraceKey = Tuple[int, Tuple[bool, ...]]
+
+_LOGICAL = attrgetter("logical")
 
 
 class TraceSlot:
@@ -69,7 +72,7 @@ class TraceLine:
         self.key = key
         self.slots = slots
         self.num_blocks = num_blocks
-        self.length = sum(1 for s in slots if s is not None)
+        self.length = len(slots) - slots.count(None)
 
     @property
     def start_pc(self) -> int:
@@ -79,7 +82,7 @@ class TraceLine:
     def logical_order(self) -> List[TraceSlot]:
         """Slots sorted by logical position (program order)."""
         filled = [s for s in self.slots if s is not None]
-        return sorted(filled, key=lambda s: s.logical)
+        return sorted(filled, key=_LOGICAL)
 
     def slot_of_logical(self, logical: int) -> Optional[int]:
         """Physical slot index of logical position ``logical``."""

@@ -19,6 +19,15 @@ from repro.isa import BranchKind, DynInst
 from repro.workloads.program import Program
 
 
+def _fresh(model):
+    """A private copy of a branch behaviour or address stream in its
+    initial state.  Their state is scalars and tuples, so a shallow copy
+    followed by ``reset()`` shares nothing mutable with ``model``."""
+    clone = copy.copy(model)
+    clone.reset()
+    return clone
+
+
 class FunctionalSimulator:
     """Walks a :class:`Program` and yields committed dynamic instructions.
 
@@ -44,12 +53,10 @@ class FunctionalSimulator:
 
     def reset(self) -> None:
         """Restart execution from the program entry point."""
-        self._behaviors = copy.deepcopy(self.program.branch_behaviors)
-        self._streams = copy.deepcopy(self.program.address_streams)
-        for behavior in self._behaviors.values():
-            behavior.reset()
-        for stream in self._streams:
-            stream.reset()
+        self._behaviors = {pc: _fresh(behavior) for pc, behavior
+                           in self.program.branch_behaviors.items()}
+        self._streams = [_fresh(stream)
+                         for stream in self.program.address_streams]
         self._rng = random.Random(self._seed)
         self._block = self.program.entry_block
         self._index = 0

@@ -9,6 +9,11 @@ def always_ready(inst, now):
     return True
 
 
+def wake_at(cycle):
+    """A ``wake`` callback under which every operand arrives at ``cycle``."""
+    return lambda inst: cycle
+
+
 class TestStationRouting:
     def test_memory_ops_go_to_mem_station(self):
         cluster = Cluster(0)
@@ -40,8 +45,8 @@ class TestStationRouting:
         # 4 simple ops per cycle fit (2 stations x 2 ports); the 5th fails.
         for i in range(4):
             assert cluster.accept(make_dyn(i, Opcode.ADD), now=0)
-        assert not cluster.can_accept(make_dyn(4, Opcode.ADD), now=0)
-        assert cluster.can_accept(make_dyn(4, Opcode.ADD), now=1)
+        assert not cluster.has_space(make_dyn(4, Opcode.ADD), now=0)
+        assert cluster.has_space(make_dyn(4, Opcode.ADD), now=1)
 
     def test_full_station_rejects(self):
         cluster = Cluster(0, rs_entries=2, rs_write_ports=8)
@@ -56,7 +61,7 @@ class TestDispatch:
         inst = make_dyn(0, Opcode.ADD)
         cluster.accept(inst, now=0)
         dispatched = []
-        n = cluster.dispatch_cycle(1, always_ready,
+        n = cluster.dispatch_cycle(1, wake_at(1), always_ready,
                                    lambda i, u, now: dispatched.append(i))
         assert n == 1 and dispatched == [inst]
         assert cluster.occupancy == 0
@@ -67,7 +72,7 @@ class TestDispatch:
         for inst in insts:
             cluster.accept(inst, now=0)
         dispatched = []
-        cluster.dispatch_cycle(1, always_ready,
+        cluster.dispatch_cycle(1, wake_at(1), always_ready,
                                lambda i, u, now: dispatched.append(i))
         assert len(dispatched) == 2  # only two simple-int ALUs
         assert [i.seq for i in dispatched] == [0, 1]  # oldest first
@@ -78,14 +83,14 @@ class TestDispatch:
         for seq in (5, 1, 4, 2):
             cluster.accept(make_dyn(seq, Opcode.ADD), now=seq)
         dispatched = []
-        cluster.dispatch_cycle(10, always_ready,
+        cluster.dispatch_cycle(10, wake_at(10), always_ready,
                                lambda i, u, now: dispatched.append(i))
         assert [i.seq for i in dispatched] == [1, 2]
 
     def test_not_ready_not_dispatched(self):
         cluster = Cluster(0)
         cluster.accept(make_dyn(0, Opcode.ADD), now=0)
-        n = cluster.dispatch_cycle(1, lambda i, now: False,
+        n = cluster.dispatch_cycle(1, wake_at(1), lambda i, now: False,
                                    lambda i, u, now: None)
         assert n == 0
         assert cluster.occupancy == 1
@@ -95,12 +100,11 @@ class TestDispatch:
         div0, div1 = make_dyn(0, Opcode.DIV), make_dyn(1, Opcode.DIV)
         cluster.accept(div0, now=0)
         cluster.accept(div1, now=0)
-        cluster.dispatch_cycle(1, always_ready, lambda i, u, now: u.dispatch(i, now))
-        n = cluster.dispatch_cycle(2, always_ready,
-                                   lambda i, u, now: u.dispatch(i, now))
+        occupy = lambda i, u, now: u.dispatch(i, now)  # noqa: E731
+        cluster.dispatch_cycle(1, wake_at(1), always_ready, occupy)
+        n = cluster.dispatch_cycle(2, wake_at(1), always_ready, occupy)
         assert n == 0  # divider busy for 19 cycles
-        n = cluster.dispatch_cycle(20, always_ready,
-                                   lambda i, u, now: u.dispatch(i, now))
+        n = cluster.dispatch_cycle(20, wake_at(1), always_ready, occupy)
         assert n == 1
 
     def test_branch_and_alu_dispatch_same_cycle(self):
@@ -108,7 +112,7 @@ class TestDispatch:
         cluster.accept(make_dyn(0, Opcode.ADD), now=0)
         cluster.accept(make_dyn(1, Opcode.BEQ, dest=None), now=0)
         dispatched = []
-        cluster.dispatch_cycle(1, always_ready,
+        cluster.dispatch_cycle(1, wake_at(1), always_ready,
                                lambda i, u, now: dispatched.append((i, u.kind)))
         assert len(dispatched) == 2
 
@@ -116,4 +120,58 @@ class TestDispatch:
         cluster = Cluster(0)
         cluster.accept(make_dyn(0, Opcode.ADD), now=0)
         cluster.clear()
+        assert cluster.occupancy == 0
+        assert not cluster.woken
+
+
+class TestWakeup:
+    """The event-driven select: entries wait until their operands arrive
+    and are evaluated only when woken."""
+
+    def test_waits_for_operand_arrival(self):
+        cluster = Cluster(0)
+        inst = make_dyn(0, Opcode.ADD)
+        cluster.accept(inst, now=0)
+        checked, dispatched = [], []
+
+        def is_ready(i, now):
+            checked.append(now)
+            return True
+
+        assert cluster.dispatch_cycle(
+            1, wake_at(5), is_ready, lambda i, u, now: dispatched.append(i)
+        ) == 0
+        assert cluster.waiting and not checked
+        assert cluster.dispatch_cycle(
+            5, wake_at(5), is_ready, lambda i, u, now: dispatched.append(i)
+        ) == 1
+        assert checked == [5] and dispatched == [inst]
+
+    def test_unscheduled_producer_drops_entry_until_woken(self):
+        cluster = Cluster(0)
+        inst = make_dyn(0, Opcode.ADD)
+        cluster.accept(inst, now=0)
+        record = lambda i, u, now: None  # noqa: E731
+        assert cluster.dispatch_cycle(1, lambda i: None, always_ready,
+                                      record) == 0
+        assert not (cluster.woken or cluster.waiting or cluster.candidates)
+        assert cluster.occupancy == 1
+        # The producer dispatched: the pipeline wakes the consumer again.
+        cluster.woken.append(inst)
+        assert cluster.dispatch_cycle(9, wake_at(9), always_ready,
+                                      record) == 1
+
+    def test_parked_entry_returns_on_unpark(self):
+        cluster = Cluster(0)
+        load = make_dyn(0, Opcode.LOAD, dest=8, srcs=(1,))
+        cluster.accept(load, now=0)
+        record = lambda i, u, now: None  # noqa: E731
+        assert cluster.dispatch_cycle(1, wake_at(1), lambda i, now: None,
+                                      record) == 0
+        assert cluster.parked == [load]
+        assert cluster.dispatch_cycle(2, wake_at(1), always_ready,
+                                      record) == 0
+        cluster.unpark()
+        assert cluster.dispatch_cycle(3, wake_at(1), always_ready,
+                                      record) == 1
         assert cluster.occupancy == 0

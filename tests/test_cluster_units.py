@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.cluster.functional_units import (
-    FunctionalUnit,
-    make_cluster_units,
-    units_for_class,
-)
+from repro.cluster.functional_units import FunctionalUnit, make_cluster_units
 from repro.cluster.reservation_station import ReservationStation
 from repro.isa import Opcode, OpClass
 from tests.conftest import make_dyn
@@ -44,11 +40,6 @@ class TestFunctionalUnits:
         assert not unit.free(18)
         assert unit.free(19)
 
-    def test_units_for_class(self):
-        units = make_cluster_units()
-        alus = units_for_class(units, OpClass.SIMPLE_INT)
-        assert len(alus) == 2
-
 
 class TestReservationStation:
     def test_capacity_bound(self):
@@ -70,22 +61,6 @@ class TestReservationStation:
         station.insert(make_dyn(0), now=0)
         with pytest.raises(RuntimeError):
             station.insert(make_dyn(1), now=0)
-
-    def test_oldest_ready_selection(self):
-        station = ReservationStation("rs")
-        young, old = make_dyn(9), make_dyn(3)
-        station.insert(young, now=0)
-        station.insert(old, now=0)
-        picked = station.oldest_ready(lambda inst, now: True, now=1)
-        assert picked is old
-
-    def test_oldest_ready_respects_predicate(self):
-        station = ReservationStation("rs")
-        a, b = make_dyn(1), make_dyn(2)
-        station.insert(a, now=0)
-        station.insert(b, now=0)
-        picked = station.oldest_ready(lambda inst, now: inst is b, now=1)
-        assert picked is b
 
     def test_remove_and_clear(self):
         station = ReservationStation("rs")

@@ -177,3 +177,44 @@ class TestStatsReset:
         assert pipeline.trace_cache.resident_lines() == resident
         pipeline.run(1000)
         assert pipeline.stats.retired >= 1000
+
+
+class TestDeadCycleSkip:
+    """``run`` jumps over cycles in which no stage can act; a periodic
+    tap due every cycle clamps every jump, so it must step them all and
+    still see the same machine."""
+
+    @staticmethod
+    def _run(name, kind, every_cycle_tap):
+        from repro.core.simulator import Simulator
+        from repro.obs import CycleTracer
+        from repro.obs.timeseries import IntervalRecorder
+
+        simulator = Simulator(name, StrategySpec(kind=kind),
+                              config=MachineConfig())
+        pipeline = simulator.pipeline
+        stepped = []
+        step = pipeline.step
+        pipeline.step = lambda: (stepped.append(pipeline.now), step())
+        if every_cycle_tap:
+            pipeline.schedule(lambda p: None, 1, due=pipeline.now)
+        tracer = CycleTracer()
+        recorder = IntervalRecorder(interval_cycles=97)
+        with tracer.attach(pipeline):
+            simulator.warmup(1_500)
+            with recorder.attach(pipeline):
+                result = simulator.run(3_000)
+        observed = (result.to_dict(), dict(pipeline.accounting.counts),
+                    list(recorder.windows), list(tracer.events),
+                    pipeline.now)
+        return observed, len(stepped)
+
+    @pytest.mark.parametrize("name,kind", [
+        ("mcf", "fdrt"), ("gzip", "base"), ("adpcm_enc", "issue")])
+    def test_skipping_is_invisible(self, name, kind):
+        skipped, steps = self._run(name, kind, every_cycle_tap=False)
+        stepped, all_steps = self._run(name, kind, every_cycle_tap=True)
+        assert skipped == stepped
+        cycles = stepped[-1]
+        assert all_steps == cycles
+        assert steps < cycles

@@ -78,3 +78,27 @@ def test_result_fields_in_valid_ranges(tiny_program):
     assert 0.0 <= result.mispredict_rate <= 1.0
     assert abs(sum(result.critical_source.values()) - 1.0) < 1e-9
     assert sum(result.option_counts.values()) > 0
+
+
+def test_interleaved_simulators_of_one_program_match_solo_runs(tiny_program):
+    """Two simulators built from one Program, run in alternating chunks,
+    give the results each gives when run alone."""
+    spec = StrategySpec(kind="fdrt")
+
+    def solo():
+        simulator = Simulator(tiny_program, spec, seed=5)
+        simulator.warmup(500)
+        for _ in range(3):
+            simulator.pipeline.run(500)
+        return simulator.result().to_dict()
+
+    expected = solo()
+    a = Simulator(tiny_program, spec, seed=5)
+    b = Simulator(tiny_program, spec, seed=5)
+    a.warmup(500)
+    b.warmup(500)
+    for _ in range(3):
+        a.pipeline.run(500)
+        b.pipeline.run(500)
+    assert a.result().to_dict() == expected
+    assert b.result().to_dict() == expected

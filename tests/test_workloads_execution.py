@@ -130,3 +130,23 @@ def test_interleaved_simulators_are_independent(tiny_program):
         stream_b.append(b.step())
     assert [(i.pc, i.taken, i.mem_addr) for i in stream_a] == \
         [(i.pc, i.taken, i.mem_addr) for i in stream_b]
+
+
+def test_interleaved_simulators_match_a_solo_run(tiny_program):
+    """Copies of the behaviour models share no state with the Program or
+    with each other: interleaving two simulators, or restarting one,
+    changes no stream."""
+    def outcomes(insts):
+        return [(i.pc, i.taken, i.target, i.mem_addr) for i in insts]
+
+    solo = outcomes(FunctionalSimulator(tiny_program, seed=3).run(1500))
+    a = FunctionalSimulator(tiny_program, seed=3)
+    b = FunctionalSimulator(tiny_program, seed=3)
+    stream_a, stream_b = [], []
+    for _ in range(3):
+        stream_a += a.run(500)
+        stream_b += b.run(500)
+    b.reset()
+    restarted = b.run(1500)
+    assert outcomes(stream_a) == outcomes(stream_b) == solo
+    assert outcomes(restarted) == solo
