@@ -139,14 +139,13 @@ class Pipeline:
             + (spec.steer_latency if spec.kind == "issue" else 0)
         )
         mode = config.forward_latency_mode
-        self._mode = mode
         self._zero_all = mode == "zero_all"
         self._zero_critical = mode == "zero_critical"
         self._zero_intra = mode == "zero_intra_trace"
         self._zero_inter = mode == "zero_inter_trace"
-        #: Forwarding latency depends on trace membership, not only on
-        #: the hop count, in these two modes.
-        self._by_trace = self._zero_intra or self._zero_inter
+        #: Forwarding costs ``hop_latency`` per hop (the other modes are
+        #: Figure 5's latency-removal studies; see :meth:`_forward_latency`).
+        self._per_hop = mode in ("normal", "zero_critical")
 
     # ------------------------------------------------------------------
     # Public driving interface.
@@ -399,8 +398,8 @@ class Pipeline:
         # equals) is the critical input.
         arrivals = []
         critical = latest = -1
-        index = 0
-        for producer in producers:
+        operands = travelled = 0
+        for index, producer in enumerate(producers):
             if forwarded[index]:
                 complete = producer.complete_cycle
                 if complete < 0:
@@ -411,42 +410,36 @@ class Pipeline:
                     else:
                         waiters.append(inst)
                     return None
-                if self._zero_all or (self._by_trace and (
-                        producer.trace_instance == inst.trace_instance)
-                        == self._zero_intra):
-                    arrival = complete
+                distance = hops[producer.cluster][cluster]
+                operands += 1
+                travelled += distance
+                if self._per_hop:
+                    arrival = complete + distance * hop_latency
                 else:
-                    arrival = complete + (
-                        hops[producer.cluster][cluster] * hop_latency)
+                    arrival = complete + self._forward_latency(producer, inst)
             else:
                 arrival = rf_ready
             arrivals.append(arrival)
             if arrival > latest:
                 critical, latest = index, arrival
-            index += 1
-        if self._zero_critical:
+        if self._zero_critical and operands:
             # Figure 5 "No Crit Fwd Lat": the last-arriving *forwarded*
             # value loses its forwarding latency.
             last_fwd = -1
-            for i in range(index):
-                if forwarded[i] and (
-                        last_fwd < 0 or arrivals[i] > arrivals[last_fwd]):
-                    last_fwd = i
-            if last_fwd >= 0:
-                arrivals[last_fwd] = producers[last_fwd].complete_cycle
-                critical = latest = -1
-                for i in range(index):
-                    if arrivals[i] > latest:
-                        critical, latest = i, arrivals[i]
+            for index, arrival in enumerate(arrivals):
+                if forwarded[index] and (
+                        last_fwd < 0 or arrival > arrivals[last_fwd]):
+                    last_fwd = index
+            arrivals[last_fwd] = producers[last_fwd].complete_cycle
+            critical = latest = -1
+            for index, arrival in enumerate(arrivals):
+                if arrival > latest:
+                    critical, latest = index, arrival
         # Interconnect activity: every forwarded operand travels the
         # producer-to-consumer distance once (energy accounting).
         stats = self.stats
-        index = 0
-        for producer in producers:
-            if forwarded[index]:
-                stats.forwarded_operands += 1
-                stats.forwarded_hops += hops[producer.cluster][cluster]
-            index += 1
+        stats.forwarded_operands += operands
+        stats.forwarded_hops += travelled
         inst.critical_src = critical
         if forwarded[critical]:
             producer = producers[critical]
@@ -480,6 +473,16 @@ class Pipeline:
         while heap and heap[0][1].dispatch_cycle >= 0:
             heapq.heappop(heap)
         return heap[0][0] if heap else NEVER
+
+    def _forward_latency(self, producer: DynInst, consumer: DynInst) -> int:
+        if self._zero_all:
+            return 0
+        same_trace = producer.trace_instance == consumer.trace_instance
+        if self._zero_intra and same_trace:
+            return 0
+        if self._zero_inter and not same_trace:
+            return 0
+        return self.interconnect.forward_latency(producer.cluster, consumer.cluster)
 
     def _on_dispatch(self, inst: DynInst, fu, now: int) -> None:
         inst.dispatch_cycle = now

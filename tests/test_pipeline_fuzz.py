@@ -162,7 +162,7 @@ def _lifetimes_and_result(pipeline_cls, program, config, spec, seed):
 
 
 @given(profiles(), oracle_machines(), oracle_specs(), st.integers(0, 99))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_pipeline_matches_reference_scheduler(profile, config, spec, seed):
     program = generate_program(profile)
     fast = _lifetimes_and_result(Pipeline, program, config, spec, seed)
