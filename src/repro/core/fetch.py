@@ -28,9 +28,6 @@ from repro.tracecache.trace import TraceLine
 from repro.tracecache.trace_cache import TraceCache
 from repro.workloads.execution import FunctionalSimulator
 
-#: A cycle no simulation reaches ("no event scheduled").
-NEVER = 1 << 62
-
 
 class StreamCursor:
     """Buffered lookahead over the committed instruction stream."""
@@ -121,18 +118,18 @@ class FetchEngine:
             return "icache_miss"
         return None
 
-    def resume_cycle(self, now: int) -> int:
+    def resume_cycle(self, now: int) -> Optional[int]:
         """First cycle ``>= now`` in which fetch is not stalled (pure).
 
-        :data:`NEVER` while an unresolved mispredicted branch blocks
-        fetch: its resolve cycle is not known until it dispatches.
+        ``None`` while an unresolved mispredicted branch blocks fetch:
+        its resolve cycle is not known until it dispatches.
         """
         until = self._blocked_until
         branch = self._blocked_branch
         if branch is not None:
             resolve = branch.complete_cycle
             if resolve < 0:
-                return NEVER
+                return None
             until = max(until, resolve + self.config.redirect_penalty)
         return until if until > now else now
 

@@ -45,7 +45,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.config import MachineConfig
 from repro.cluster.interconnect import Interconnect
 from repro.core.accounting import CycleAccounting
-from repro.core.fetch import NEVER, FetchEngine, StreamCursor
+from repro.core.fetch import FetchEngine, StreamCursor
 from repro.core.stats import SimStats
 from repro.isa import DynInst
 from repro.isa.instruction import LeaderFollower
@@ -58,6 +58,9 @@ from repro.workloads.program import Program
 
 #: Cycles without a retirement before the simulator declares deadlock.
 _WATCHDOG_CYCLES = 50_000
+
+#: A cycle no simulation reaches: "no event scheduled".
+_NEVER = 1 << 62
 
 
 class Pipeline:
@@ -162,7 +165,7 @@ class Pipeline:
         """
         stats = self.stats
         target = stats.retired + max_instructions
-        next_due = min((entry[0] for entry in self.periodic), default=NEVER)
+        next_due = min((entry[0] for entry in self.periodic), default=_NEVER)
         while stats.retired < target:
             if self._drained():
                 break
@@ -229,7 +232,7 @@ class Pipeline:
             if now >= entry[0]:
                 entry[0] = now + entry[1]
                 entry[2](self)
-        return min((entry[0] for entry in self.periodic), default=NEVER)
+        return min((entry[0] for entry in self.periodic), default=_NEVER)
 
     # ------------------------------------------------------------------
     # One cycle, and runs of cycles in which nothing happens.
@@ -257,10 +260,10 @@ class Pipeline:
         earliest of: the ROB head's completion, the next operand arrival
         in any cluster, the next fill-unit install, the front-end head's
         ready cycle (when the ROB has room) and the end of a fetch stall
-        — :data:`NEVER` if none is scheduled.  Every other change is a
+        — ``_NEVER`` if none is scheduled.  Every other change is a
         consequence of one of these.
         """
-        horizon = NEVER
+        horizon = _NEVER
         rob = self.rob
         if rob:
             complete = rob[0].complete_cycle
@@ -282,10 +285,11 @@ class Pipeline:
         config = self.config
         if len(frontend) < 2 * config.width and not self.cursor.exhausted:
             resume = self.fetch_engine.resume_cycle(now)
-            if resume <= now:
-                return now
-            if resume < horizon:
-                horizon = resume
+            if resume is not None:
+                if resume <= now:
+                    return now
+                if resume < horizon:
+                    horizon = resume
         if frontend and len(rob) < config.rob_entries:
             ready, inst = frontend[0]
             if ready > now:
@@ -472,7 +476,7 @@ class Pipeline:
         heap = self._pending_stores
         while heap and heap[0][1].dispatch_cycle >= 0:
             heapq.heappop(heap)
-        return heap[0][0] if heap else NEVER
+        return heap[0][0] if heap else _NEVER
 
     def _forward_latency(self, producer: DynInst, consumer: DynInst) -> int:
         if self._zero_all:
