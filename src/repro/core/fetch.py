@@ -232,7 +232,8 @@ class FetchEngine:
             dyn.leader_follower = slot.leader_follower
             dyn.fetch_cycle = now
             packet.append(dyn)
-            if not self._check_control_flow(dyn, in_trace=True):
+            if (dyn.static.branch_kind != BranchKind.NOT_BRANCH
+                    and not self._check_control_flow(dyn, in_trace=True)):
                 break
         self.cursor.advance(len(packet))
         self.stats.tc_fetches += 1
@@ -264,7 +265,8 @@ class FetchEngine:
             dyn.slot_cluster = (k // per) % self.config.num_clusters
             dyn.fetch_cycle = now
             packet.append(dyn)
-            if not self._check_control_flow(dyn, in_trace=False):
+            if (dyn.static.branch_kind != BranchKind.NOT_BRANCH
+                    and not self._check_control_flow(dyn, in_trace=False)):
                 break
         self.cursor.advance(len(packet))
         return packet, extra
@@ -273,15 +275,14 @@ class FetchEngine:
     # Branch prediction bookkeeping.
     # ------------------------------------------------------------------
     def _check_control_flow(self, dyn: DynInst, in_trace: bool) -> bool:
-        """Predict/train on ``dyn``; False ends the packet (mispredict).
+        """Predict/train on the branch ``dyn``; False ends the packet
+        (mispredict).
 
         Within a trace, targets are embedded in the line, so only
         direction (and return-target) mispredictions redirect; on the
         I-cache path a BTB miss for a taken branch also redirects.
         """
         kind = dyn.static.branch_kind
-        if kind == BranchKind.NOT_BRANCH:
-            return True
         if self.config.perfect_branch_prediction:
             # Oracle front end: train nothing, never redirect.
             if kind == BranchKind.CONDITIONAL:

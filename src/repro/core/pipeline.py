@@ -199,9 +199,9 @@ class Pipeline:
 
     def _drained(self) -> bool:
         return (
-            self.cursor.exhausted
-            and not self.rob
+            not self.rob
             and not self.frontend
+            and self.cursor.exhausted
         )
 
     def schedule(self, callback, interval: int, due: int,
