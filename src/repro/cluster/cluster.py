@@ -145,46 +145,31 @@ class Cluster:
         if not candidates:
             return 0
         held: List[DynInst] = []
-        ready_list = []
+        ready = []
         for inst in candidates:
             verdict = is_ready(inst, now)
             if verdict:
-                ready_list.append(inst)
+                ready.append((inst.station.rank, inst.seq, inst))
             elif verdict is None:
                 self.parked.append(inst)
             else:
                 held.append(inst)
         self.candidates = held
-        if not ready_list:
-            return 0
-        if len(ready_list) == 1:
-            inst = ready_list[0]
-            for unit in self._units_by_class[inst.static.op_class]:
-                if now >= unit.busy_until:
-                    inst.station.entries.remove(inst)
-                    on_dispatch(inst, unit, now)
-                    return 1
-            held.append(inst)
+        if not ready:
             return 0
         # Group by class in scan order; each group oldest first.
-        by_class: dict = {}
-        for _rank, seq, inst in sorted([
-                (inst.station.rank, inst.seq, inst) for inst in ready_list]):
-            kind = inst.static.op_class
-            group = by_class.get(kind)
-            if group is None:
-                by_class[kind] = [(seq, inst)]
-            else:
-                group.append((seq, inst))
+        ready.sort()
+        by_class: Dict[OpClass, list] = {}
+        for _rank, seq, inst in ready:
+            by_class.setdefault(inst.static.op_class, []).append((seq, inst))
         dispatched = 0
         for kind, group in by_class.items():
-            if len(group) > 1:
-                group.sort()
+            group.sort()
             picked = 0
             for unit in self._units_by_class[kind]:
                 if now >= unit.busy_until:
                     inst = group[picked][1]
-                    inst.station.entries.remove(inst)
+                    inst.station.remove(inst)
                     on_dispatch(inst, unit, now)
                     picked += 1
                     if picked == len(group):
