@@ -172,6 +172,7 @@ class Pipeline:
             now = self.now
             until = self._next_event(now)
             if until > now + 1:
+                # Never past a tap's due cycle or the watchdog's limit.
                 until = min(until, next_due,
                             self._last_retire_cycle + _WATCHDOG_CYCLES + 1)
             if until > now + 1:
