@@ -110,7 +110,8 @@ def test_rob_capacity_never_exceeded(profile):
 @st.composite
 def oracle_machines(draw):
     """Machine shapes that stress select: few D-cache ports, small
-    stations and store buffers, every forwarding-latency mode."""
+    stations and store buffers, every forwarding-latency mode, and the
+    idealised front ends and memory."""
     num_clusters = draw(st.sampled_from([2, 4]))
     return MachineConfig(
         width=4 * num_clusters,
@@ -119,7 +120,11 @@ def oracle_machines(draw):
         hop_latency=draw(st.integers(1, 3)),
         rob_entries=draw(st.sampled_from([32, 128])),
         rs_entries=draw(st.sampled_from([2, 4, 8])),
+        rs_write_ports=draw(st.sampled_from([1, 2])),
         dcache_ports=draw(st.sampled_from([1, 2, 4])),
+        perfect_dcache=draw(st.booleans()),
+        perfect_branch_prediction=draw(st.booleans()),
+        tc_partial_matching=draw(st.booleans()),
         store_buffer_entries=draw(st.sampled_from([4, 32])),
         load_queue_entries=draw(st.sampled_from([4, 32])),
         fill_unit_latency=draw(st.integers(0, 20)),
