@@ -135,3 +135,76 @@ def test_nested_loops_execute():
     program = generate_program(profile)
     insts = FunctionalSimulator(program).run(5000)
     assert len(insts) == 5000
+
+
+def _program_digest(program) -> str:
+    """Digest of everything generation decides about ``program``: every
+    field of every instruction, block successors, each behaviour's and
+    stream's class and parameters, the entry block and the seed."""
+    import hashlib
+
+    parts = [repr((program.name, program.entry_block, program.seed))]
+    for block in program.blocks:
+        parts.append(repr((block.block_id, block.taken_succ, block.fall_succ)))
+        for i in block.instructions:
+            parts.append(repr((
+                i.pc, int(i.opcode), i.dest, i.srcs, int(i.op_class),
+                int(i.branch_kind), i.is_mem, i.is_load, i.is_store,
+                i.mem_stream_id, i.block_id)))
+    models = list(program.branch_behaviors.items())
+    models += list(enumerate(program.address_streams))
+    for key, model in models:
+        params = sorted((k, v) for k, v in vars(model).items()
+                        if not k.startswith("_"))
+        parts.append(repr((key, type(model).__name__, params)))
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
+
+
+#: Digests of the generated programs.  Generation must draw its random
+#: numbers in exactly this order: any change here changes every
+#: simulated result.
+GOLDEN_PROGRAMS = {
+    "bzip2": "5e7c98988cb7b3ee",
+    "eon": "f221fa9606342ce1",
+    "gzip": "7beff0a5b70f2dca",
+    "perlbmk": "32b9a072c4d0630f",
+    "twolf": "2213d8f3c7455e60",
+    "vpr": "1dd76f60bfa924cd",
+    "crafty": "8937f9bf723b84ce",
+    "gap": "498534aa99530695",
+    "gcc": "638455f844145383",
+    "mcf": "ac3c9545904460d3",
+    "parser": "076dfdda149d3855",
+    "vortex": "e7f397280a675523",
+    "adpcm_enc": "079655421af766f8",
+    "adpcm_dec": "941c22f1592fc9e8",
+    "epic_enc": "b4890c02a9d835ee",
+    "epic_dec": "8b1b0468e39e549f",
+    "g721_enc": "042db5c022ce9f8d",
+    "g721_dec": "9dd09ee488de40a5",
+    "gsm_enc": "097db6f5523c682c",
+    "gsm_dec": "e9c3bd10304e1dd9",
+    "jpeg_enc": "323069045669a10b",
+    "jpeg_dec": "f5973980f3027083",
+    "mpeg2_enc": "891daab47ed39735",
+    "mpeg2_dec": "c96cf8d713e9d8fa",
+    "pegwit_enc": "9590d227f5a985ce",
+    "pegwit_dec": "a1e21451058ebfed",
+    "phased-compute-memory-branchy/3": "e4362d30e6ca8231",
+}
+
+
+def test_catalog_programs_match_golden_digests():
+    digests = {name: _program_digest(generate_program(profile))
+               for name, profile in all_profiles().items()}
+    expected = {k: v for k, v in GOLDEN_PROGRAMS.items()
+                if not k.startswith("phased")}
+    assert digests == expected
+
+
+def test_phased_program_matches_golden_digest():
+    from repro.workloads.generator import phased_program
+
+    program = phased_program(("compute", "memory", "branchy"), seed=3)
+    assert (_program_digest(program)
+            == GOLDEN_PROGRAMS["phased-compute-memory-branchy/3"])
