@@ -82,9 +82,17 @@ class SimStats:
         """Record critical-input statistics at dispatch time."""
         if inst.critical_src < 0:
             return
+        # Track execution-cluster changes of the static instruction.
+        pc = inst.static.pc
+        cluster = inst.cluster
+        last = self._last_exec_cluster.get(pc)
+        self._last_exec_cluster[pc] = cluster
+        self.exec_instances += 1
+        migrated = last is not None and last != cluster
+        if migrated:
+            self.exec_migrations += 1
         if not inst.critical_forwarded:
             self.critical_from_rf += 1
-            self._note_exec_cluster(inst)
             return
         if inst.critical_src == 0:
             self.critical_from_rs1 += 1
@@ -98,29 +106,17 @@ class SimStats:
         if inst.critical_inter_trace:
             self.critical_forwarded_inter_trace += 1
             producer = inst.critical_producer
-            key = (inst.static.pc, inst.critical_src)
+            key = (pc, inst.critical_src)
             last = self._last_producer_pc_inter.get(key)
             if last is not None:
                 self.repeat_checks_inter[inst.critical_src] += 1
                 if last == producer.static.pc:
                     self.repeat_hits_inter[inst.critical_src] += 1
             self._last_producer_pc_inter[key] = producer.static.pc
-        migrated = self._note_exec_cluster(inst)
         if migrated:
             self.migrating_critical_forwarded += 1
             if distance == 0:
                 self.migrating_critical_intra_cluster += 1
-
-    def _note_exec_cluster(self, inst) -> bool:
-        """Track execution-cluster changes; returns True on migration."""
-        pc = inst.static.pc
-        last = self._last_exec_cluster.get(pc)
-        self._last_exec_cluster[pc] = inst.cluster
-        self.exec_instances += 1
-        if last is not None and last != inst.cluster:
-            self.exec_migrations += 1
-            return True
-        return False
 
     # ------------------------------------------------------------------
     # Derived metrics.

@@ -16,7 +16,6 @@ from repro.isa.opcodes import (
     BRANCH_OPCODES,
     MEMORY_OPCODES,
     Opcode,
-    OpClass,
     is_load,
     is_store,
     op_class,
@@ -39,6 +38,14 @@ _BRANCH_KIND = {
     Opcode.JMP: BranchKind.UNCONDITIONAL,
     Opcode.CALL: BranchKind.CALL,
     Opcode.RET: BranchKind.RETURN,
+}
+
+#: Per opcode, the decoded fields of a static instruction:
+#: ``(op_class, branch_kind, is_mem, is_load, is_store)``.
+_DECODE = {
+    op: (op_class(op), _BRANCH_KIND.get(op, BranchKind.NOT_BRANCH),
+         op in MEMORY_OPCODES, is_load(op), is_store(op))
+    for op in Opcode
 }
 
 
@@ -99,11 +106,8 @@ class Instruction:
         self.opcode = opcode
         self.dest = dest
         self.srcs = tuple(srcs)
-        self.op_class: OpClass = op_class(opcode)
-        self.branch_kind = _BRANCH_KIND.get(opcode, BranchKind.NOT_BRANCH)
-        self.is_mem = opcode in MEMORY_OPCODES
-        self.is_load = is_load(opcode)
-        self.is_store = is_store(opcode)
+        (self.op_class, self.branch_kind, self.is_mem, self.is_load,
+         self.is_store) = _DECODE[opcode]
         self.mem_stream_id = mem_stream_id
         self.block_id = block_id
         if self.is_mem and mem_stream_id is None:

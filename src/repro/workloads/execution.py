@@ -11,7 +11,6 @@ its architectural outcome (branch direction and target, memory address).
 
 from __future__ import annotations
 
-import copy
 import random
 from typing import Iterator, List, Optional
 
@@ -19,20 +18,13 @@ from repro.isa import BranchKind, DynInst
 from repro.workloads.program import Program
 
 
-def _fresh(model):
-    """A private copy of a branch behaviour or address stream in its
-    initial state.  Their state is scalars and tuples, so a shallow copy
-    followed by ``reset()`` shares nothing mutable with ``model``."""
-    clone = copy.copy(model)
-    clone.reset()
-    return clone
-
-
 class FunctionalSimulator:
     """Walks a :class:`Program` and yields committed dynamic instructions.
 
     Each simulator owns *private copies* of the program's stateful
-    behaviour models (branch behaviours, address streams), so multiple
+    behaviour models (branch behaviours, address streams; see
+    :meth:`~repro.workloads.program.BranchBehavior.fresh`) and shares
+    the stateless ones and the program itself, so multiple
     simulators over the same program — e.g. several strategies compared
     on one workload — produce identical, independent streams regardless
     of interleaving.
@@ -53,9 +45,9 @@ class FunctionalSimulator:
 
     def reset(self) -> None:
         """Restart execution from the program entry point."""
-        self._behaviors = {pc: _fresh(behavior) for pc, behavior
+        self._behaviors = {pc: behavior.fresh() for pc, behavior
                            in self.program.branch_behaviors.items()}
-        self._streams = [_fresh(stream)
+        self._streams = [stream.fresh()
                          for stream in self.program.address_streams]
         self._rng = random.Random(self._seed)
         self._block = self.program.entry_block

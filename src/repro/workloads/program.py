@@ -10,6 +10,7 @@ models rather than by value computation.
 
 from __future__ import annotations
 
+import copy
 import random
 from typing import Dict, List, Optional, Sequence
 
@@ -20,9 +21,10 @@ class BranchBehavior:
     """Base class for branch outcome models.
 
     Subclasses implement :meth:`next_outcome`, which returns ``True`` for
-    taken.  Behaviour objects are stateful and owned by one static branch;
-    :meth:`reset` restores the initial state so functional runs are
-    reproducible.
+    taken.  A behaviour belongs to one static branch of a read-only
+    :class:`Program`; each functional simulator runs the model
+    :meth:`fresh` returns, so no run changes the program's own state
+    and functional runs are reproducible.
     """
 
     def next_outcome(self, rng: random.Random) -> bool:
@@ -31,6 +33,14 @@ class BranchBehavior:
 
     def reset(self) -> None:
         """Restore the initial state."""
+
+    def fresh(self) -> "BranchBehavior":
+        """A private model in the initial state.  The default is a
+        shallow copy, reset: model state is scalars and tuples, so the
+        copy shares nothing mutable with ``self``."""
+        clone = copy.copy(self)
+        clone.reset()
+        return clone
 
 
 class LoopBranch(BranchBehavior):
@@ -62,6 +72,9 @@ class LoopBranch(BranchBehavior):
     def reset(self) -> None:
         self._remaining = -1
 
+    def fresh(self) -> "LoopBranch":
+        return LoopBranch(self.trip_count, self.jitter)
+
 
 class BiasedBranch(BranchBehavior):
     """A data-dependent branch taken with fixed probability ``p_taken``."""
@@ -73,6 +86,9 @@ class BiasedBranch(BranchBehavior):
 
     def next_outcome(self, rng: random.Random) -> bool:
         return rng.random() < self.p_taken
+
+    def fresh(self) -> "BiasedBranch":
+        return self  # stateless: shared by every simulator
 
 
 class PatternBranch(BranchBehavior):
@@ -96,6 +112,9 @@ class PatternBranch(BranchBehavior):
     def reset(self) -> None:
         self._pos = 0
 
+    def fresh(self) -> "PatternBranch":
+        return PatternBranch(self.pattern)
+
 
 class AddressStream:
     """Base class for data-address generators owned by memory instructions."""
@@ -106,6 +125,13 @@ class AddressStream:
 
     def reset(self) -> None:
         """Restore the initial state."""
+
+    def fresh(self) -> "AddressStream":
+        """A private model in the initial state (see
+        :meth:`BranchBehavior.fresh`)."""
+        clone = copy.copy(self)
+        clone.reset()
+        return clone
 
 
 class StrideStream(AddressStream):
@@ -131,6 +157,9 @@ class StrideStream(AddressStream):
     def reset(self) -> None:
         self._offset = 0
 
+    def fresh(self) -> "StrideStream":
+        return StrideStream(self.base, self.stride, self.region_size)
+
 
 class RandomStream(AddressStream):
     """Uniformly random accesses within a region.
@@ -149,6 +178,9 @@ class RandomStream(AddressStream):
     def next_address(self, rng: random.Random) -> int:
         off = rng.randrange(0, self.region_size, self.align)
         return self.base + off
+
+    def fresh(self) -> "RandomStream":
+        return self  # stateless: shared by every simulator
 
 
 class BasicBlock:
@@ -275,13 +307,6 @@ class Program:
                 if instr.pc == pc:
                     return instr
         return None
-
-    def reset(self) -> None:
-        """Reset all stateful behaviour models for a fresh functional run."""
-        for behavior in self.branch_behaviors.values():
-            behavior.reset()
-        for stream in self.address_streams:
-            stream.reset()
 
     def __repr__(self) -> str:
         return (

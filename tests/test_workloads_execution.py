@@ -150,3 +150,23 @@ def test_interleaved_simulators_match_a_solo_run(tiny_program):
     restarted = b.run(1500)
     assert outcomes(stream_a) == outcomes(stream_b) == solo
     assert outcomes(restarted) == solo
+
+
+def test_simulators_leave_the_program_models_untouched():
+    """A simulator runs private models: after 20k instructions the
+    Program's own stateful models are still in their initial state."""
+    from repro.workloads.generator import generate_program
+    from repro.workloads.profiles import profile_for
+    from repro.workloads.program import PatternBranch
+
+    program = generate_program(profile_for("mcf"))
+    FunctionalSimulator(program).run(20_000)
+    behaviors = list(program.branch_behaviors.values())
+    loops = [b for b in behaviors if isinstance(b, LoopBranch)]
+    patterns = [b for b in behaviors if isinstance(b, PatternBranch)]
+    strides = [s for s in program.address_streams
+               if isinstance(s, StrideStream)]
+    assert loops and patterns and strides
+    assert all(b._remaining == -1 for b in loops)
+    assert all(b._pos == 0 for b in patterns)
+    assert all(s._offset == 0 for s in strides)

@@ -110,6 +110,46 @@ class TestAddressStreams:
         assert all(stream.next_address(rng) % 8 == 0 for _ in range(50))
 
 
+#: (factory, draw) for each model class: ``draw(model, rng)`` is one
+#: outcome or address.
+_MODELS = {
+    "loop": (lambda: LoopBranch(trip_count=4, jitter=2),
+             LoopBranch.next_outcome),
+    "biased": (lambda: BiasedBranch(0.6), BiasedBranch.next_outcome),
+    "pattern": (lambda: PatternBranch([True, True, False, True]),
+                PatternBranch.next_outcome),
+    "stride": (lambda: StrideStream(base=4096, stride=8, region_size=40),
+               StrideStream.next_address),
+    "random": (lambda: RandomStream(base=4096, region_size=1024),
+               RandomStream.next_address),
+}
+
+
+class TestFresh:
+    @pytest.mark.parametrize("kind", sorted(_MODELS))
+    def test_fresh_of_a_used_model_replays_a_new_one(self, kind):
+        make, draw = _MODELS[kind]
+        used = make()
+        rng = random.Random(7)
+        for _ in range(5):
+            draw(used, rng)
+        clone = used.fresh()
+        new = make()
+        rng_new, rng_clone = random.Random(11), random.Random(11)
+        assert ([draw(new, rng_new) for _ in range(40)]
+                == [draw(clone, rng_clone) for _ in range(40)])
+
+    @pytest.mark.parametrize("kind", ["loop", "pattern", "stride"])
+    def test_stateful_models_are_cloned(self, kind):
+        model = _MODELS[kind][0]()
+        assert model.fresh() is not model
+
+    @pytest.mark.parametrize("kind", ["biased", "random"])
+    def test_stateless_models_are_shared(self, kind):
+        model = _MODELS[kind][0]()
+        assert model.fresh() is model
+
+
 def _block(block_id, instrs, taken=None, fall=None):
     return BasicBlock(block_id, instrs, taken, fall)
 
