@@ -80,12 +80,14 @@ class Cluster:
     # ------------------------------------------------------------------
     # Issue side.
     # ------------------------------------------------------------------
-    def accept(self, inst: DynInst, now: int) -> bool:
+    def accept(self, inst: DynInst, now: int, woken: bool = True) -> bool:
         """Insert ``inst`` into its reservation station; False if full.
 
         An accepted instruction is woken: the next select evaluates it.
-        Simple int/FP ops pick between the two simple stations, preferring
-        the emptier one (ties broken by a toggle for balance).
+        With ``woken`` False it is not: the caller has parked it on a
+        producer and wakes it when that producer dispatches.  Simple
+        int/FP ops pick between the two simple stations, preferring the
+        emptier one (ties broken by a toggle for balance).
         """
         station = self._station_for_class.get(inst.static.op_class)
         if station is not None:
@@ -94,12 +96,15 @@ class Cluster:
         else:
             s0, s1 = self._simple
             toggle = self._simple_toggle
-            if (len(s0.entries), toggle) > (len(s1.entries), 1 - toggle):
+            used0 = len(s0.entries)
+            used1 = len(s1.entries)
+            if used0 > used1 or (used0 == used1 and toggle):
                 s0, s1 = s1, s0
             if not (s0.try_insert(inst, now) or s1.try_insert(inst, now)):
                 return False
             self._simple_toggle = toggle ^ 1
-        self.woken.append(inst)
+        if woken:
+            self.woken.append(inst)
         return True
 
     def has_space(self, inst: DynInst, now: int) -> bool:
@@ -133,62 +138,78 @@ class Cluster:
         """
         woken = self.woken
         waiting = self.waiting
+        candidates = self.candidates
         if woken:
             self.woken = []
             for inst in woken:
                 ready = wake(inst)
                 if ready is not None:
-                    heappush(waiting, (ready, inst.seq, inst))
-        candidates = self.candidates
+                    if ready <= now:
+                        candidates.append(inst)
+                    else:
+                        heappush(waiting, (ready, inst.seq, inst))
         while waiting and waiting[0][0] <= now:
             candidates.append(heappop(waiting)[2])
         if not candidates:
             return 0
-        held: List[DynInst] = []
-        ready = []
-        for inst in candidates:
+        if len(candidates) == 1:
+            # Often exactly one entry is a candidate: no ranking needed.
+            inst = candidates[0]
             verdict = is_ready(inst, now)
-            if verdict:
-                ready.append((inst.station.rank, inst.seq, inst))
-            elif verdict is None:
-                self.parked.append(inst)
-            else:
-                held.append(inst)
-        self.candidates = held
-        if not ready:
-            return 0
-        if len(ready) == 1:
-            # Often exactly one entry is ready: the first free unit of its
-            # class takes it, as the grouping below would decide.
+            if not verdict:
+                if verdict is None:
+                    candidates.clear()
+                    self.parked.append(inst)
+                return 0
+            # A new list: on_dispatch may unpark loads into it.
+            self.candidates = held = []
+        else:
+            held = []
+            ready = []
+            for inst in candidates:
+                verdict = is_ready(inst, now)
+                if verdict:
+                    ready.append((inst.station.rank, inst.seq, inst))
+                elif verdict is None:
+                    self.parked.append(inst)
+                else:
+                    held.append(inst)
+            self.candidates = held
+            if not ready:
+                return 0
+            if len(ready) > 1:
+                # Group by class in scan order; each group oldest first.
+                ready.sort()
+                by_class: Dict[OpClass, list] = {}
+                for _rank, seq, inst in ready:
+                    by_class.setdefault(
+                        inst.static.op_class, []).append((seq, inst))
+                dispatched = 0
+                for kind, group in by_class.items():
+                    group.sort()
+                    picked = 0
+                    for unit in self._units_by_class[kind]:
+                        if now >= unit.busy_until:
+                            inst = group[picked][1]
+                            inst.station.entries.remove(inst)
+                            on_dispatch(inst, unit, now)
+                            picked += 1
+                            if picked == len(group):
+                                break
+                    dispatched += picked
+                    for _seq, inst in group[picked:]:
+                        held.append(inst)
+                return dispatched
             inst = ready[0][2]
-            for unit in self._units_by_class[inst.static.op_class]:
-                if now >= unit.busy_until:
-                    inst.station.remove(inst)
-                    on_dispatch(inst, unit, now)
-                    return 1
-            held.append(inst)
-            return 0
-        # Group by class in scan order; each group oldest first.
-        ready.sort()
-        by_class: Dict[OpClass, list] = {}
-        for _rank, seq, inst in ready:
-            by_class.setdefault(inst.static.op_class, []).append((seq, inst))
-        dispatched = 0
-        for kind, group in by_class.items():
-            group.sort()
-            picked = 0
-            for unit in self._units_by_class[kind]:
-                if now >= unit.busy_until:
-                    inst = group[picked][1]
-                    inst.station.remove(inst)
-                    on_dispatch(inst, unit, now)
-                    picked += 1
-                    if picked == len(group):
-                        break
-            dispatched += picked
-            for _seq, inst in group[picked:]:
-                held.append(inst)
-        return dispatched
+        # One ready entry: the first free unit of its class takes it, as
+        # the grouping above would decide.
+        for unit in self._units_by_class[inst.static.op_class]:
+            if now >= unit.busy_until:
+                inst.station.entries.remove(inst)
+                on_dispatch(inst, unit, now)
+                return 1
+        held.append(inst)
+        return 0
 
     def unpark(self) -> None:
         """Make every parked load a select candidate again."""

@@ -49,6 +49,22 @@ class StreamCursor:
             return self._buffer[index]
         return None
 
+    def window(self, count: int) -> List[DynInst]:
+        """The next ``count`` not-yet-fetched instructions (fewer at the
+        end of the stream), in one slice."""
+        buffer = self._buffer
+        missing = count - len(buffer)
+        if missing > 0 and not self._exhausted:
+            step = self._source.step
+            append = buffer.append
+            for _ in range(missing):
+                inst = step()
+                if inst is None:
+                    self._exhausted = True
+                    break
+                append(inst)
+        return buffer[:count]
+
     def advance(self, count: int) -> None:
         """Consume ``count`` instructions."""
         del self._buffer[:count]
@@ -165,11 +181,11 @@ class FetchEngine:
         if self.config.perfect_branch_prediction:
             # Oracle front end: select by the actual upcoming path.
             for line in self.trace_cache.lines_starting_at(pc):
-                ordered = line.logical_order()
-                if all(
-                    (dyn := self.cursor.peek(k)) is not None
-                    and dyn.static.pc == slot.instr.pc
-                    for k, slot in enumerate(ordered)
+                order = line.order
+                upcoming = self.cursor.window(len(order))
+                if len(upcoming) == len(order) and all(
+                    dyn.static.pc == slot.instr.pc
+                    for dyn, slot in zip(upcoming, order)
                 ):
                     return line, None
             return None, None
@@ -191,53 +207,57 @@ class FetchEngine:
         """``None`` if the whole path matches predictions; otherwise the
         number of logical instructions up to and including the first
         mispredicted internal branch (the usable prefix)."""
-        ordered = line.logical_order()
         dirs = line.key[1]
+        if not dirs:
+            return None
+        order = line.order
+        predict = self.predictor.predict
         branch_index = 0
-        for position, slot in enumerate(ordered[:-1]):
-            if slot.instr.branch_kind == BranchKind.CONDITIONAL:
-                predicted = self.predictor.predict(slot.instr.pc)
-                if predicted != dirs[branch_index]:
+        for position in range(len(order) - 1):
+            instr = order[position].instr
+            if instr.branch_kind == BranchKind.CONDITIONAL:
+                if predict(instr.pc) != dirs[branch_index]:
                     return position + 1
                 branch_index += 1
         return None
 
     def _fetch_from_trace(self, line: TraceLine, now: int,
                           prefix: Optional[int] = None) -> List[DynInst]:
-        ordered = line.logical_order()
-        if prefix is not None:
-            ordered = ordered[:prefix]
-        per = self.config.slots_per_cluster
-        cluster_of_logical = {}
-        for p, slot in enumerate(line.slots):
-            if slot is not None:
-                cluster_of_logical[slot.logical] = p // per
+        order = line.order
+        clusters = line.clusters
+        upcoming = self.cursor.window(
+            len(order) if prefix is None else prefix)
+        key = line.key
         trace_instance = self._packet_counter
         self._packet_counter += 1
-        packet: List[DynInst] = []
-        for k, slot in enumerate(ordered):
-            dyn = self.cursor.peek(k)
-            if dyn is None or dyn.static.pc != slot.instr.pc:
+        not_branch = BranchKind.NOT_BRANCH
+        count = 0
+        for dyn in upcoming:
+            slot = order[count]
+            static = dyn.static
+            if static.pc != slot.instr.pc:
                 # Wrong-path region after an earlier divergence; the
                 # divergent branch below already truncated the packet, so
                 # reaching here means the line went stale (the static
                 # program cannot change, so this only guards corruption).
                 break
             dyn.from_trace_cache = True
-            dyn.trace_key = line.key
+            dyn.trace_key = key
             dyn.trace_instance = trace_instance
-            dyn.slot_in_packet = slot.logical
-            dyn.slot_cluster = cluster_of_logical[slot.logical]
+            dyn.slot_in_packet = count
+            dyn.slot_cluster = clusters[count]
             dyn.chain_cluster = slot.chain_cluster
             dyn.leader_follower = slot.leader_follower
             dyn.fetch_cycle = now
-            packet.append(dyn)
-            if (dyn.static.branch_kind != BranchKind.NOT_BRANCH
+            count += 1
+            if (static.branch_kind != not_branch
                     and not self._check_control_flow(dyn, in_trace=True)):
                 break
-        self.cursor.advance(len(packet))
-        self.stats.tc_fetches += 1
-        self.stats.tc_fetch_instructions += len(packet)
+        packet = upcoming[:count] if count < len(upcoming) else upcoming
+        self.cursor.advance(count)
+        stats = self.stats
+        stats.tc_fetches += 1
+        stats.tc_fetch_instructions += count
         return packet
 
     # ------------------------------------------------------------------
@@ -252,23 +272,27 @@ class FetchEngine:
             self._blocked_until = max(self._blocked_until, now + extra)
         trace_instance = self._packet_counter
         self._packet_counter += 1
-        packet: List[DynInst] = []
+        upcoming = self.cursor.window(self.config.icache_fetch_width)
         block_id = head.static.block_id
         per = self.config.slots_per_cluster
-        for k in range(self.config.icache_fetch_width):
-            dyn = self.cursor.peek(k)
-            if dyn is None or dyn.static.block_id != block_id:
+        num_clusters = self.config.num_clusters
+        not_branch = BranchKind.NOT_BRANCH
+        count = 0
+        for dyn in upcoming:
+            static = dyn.static
+            if static.block_id != block_id:
                 break
             dyn.from_trace_cache = False
             dyn.trace_instance = trace_instance
-            dyn.slot_in_packet = k
-            dyn.slot_cluster = (k // per) % self.config.num_clusters
+            dyn.slot_in_packet = count
+            dyn.slot_cluster = (count // per) % num_clusters
             dyn.fetch_cycle = now
-            packet.append(dyn)
-            if (dyn.static.branch_kind != BranchKind.NOT_BRANCH
+            count += 1
+            if (static.branch_kind != not_branch
                     and not self._check_control_flow(dyn, in_trace=False)):
                 break
-        self.cursor.advance(len(packet))
+        packet = upcoming[:count] if count < len(upcoming) else upcoming
+        self.cursor.advance(count)
         return packet, extra
 
     # ------------------------------------------------------------------

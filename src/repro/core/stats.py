@@ -35,30 +35,33 @@ class SimStats:
         # Branches.
         self.cond_branches = 0
         self.mispredicts = 0
-        # Forwarding events: every source operand satisfied by forwarding.
-        self.forwarded_inputs = 0
-        self.critical_forwarded = 0
-        self.critical_forwarded_inter_trace = 0
+        # Forwarded critical inputs (their count, ``critical_forwarded``,
+        # is derived from the critical-input sources below).
         self.critical_forwarded_intra_cluster = 0
         self.critical_forward_distance_sum = 0
         # Critical-input source (instructions with at least one input).
         self.critical_from_rf = 0
         self.critical_from_rs1 = 0
         self.critical_from_rs2 = 0
-        # Producer repetition (Table 3).
-        self.repeat_checks = [0, 0]       # per source index
+        # Producer repetition (Table 3), per source index: a check is an
+        # event whose (consumer pc, source) was seen before, a hit one
+        # whose producer pc is also the last one seen.  The last-seen
+        # maps are keyed by consumer pc, one per source index; an event
+        # is either a check or the first sighting of its key, so the
+        # event counts are derived (see ``forwarded_inputs``).
+        self.repeat_checks = [0, 0]
         self.repeat_hits = [0, 0]
-        self.repeat_checks_inter = [0, 0] # critical inter-trace only
+        self._last_producer_pc: Tuple[Dict[int, int], ...] = ({}, {})
+        # The same over critical inter-trace forwarding only.
+        self.repeat_checks_inter = [0, 0]
         self.repeat_hits_inter = [0, 0]
-        self._last_producer_pc: Dict[Tuple[int, int], int] = {}
-        self._last_producer_pc_inter: Dict[Tuple[int, int], int] = {}
+        self._last_producer_pc_inter: Tuple[Dict[int, int], ...] = ({}, {})
         # Interconnect activity (energy accounting): hops travelled by
         # every forwarded operand, not just critical ones.
         self.forwarded_hops = 0
         self.forwarded_operands = 0
         # Execution-time cluster migration (Table 10).
         self.exec_migrations = 0
-        self.exec_instances = 0
         self.migrating_critical_forwarded = 0
         self.migrating_critical_intra_cluster = 0
         self._last_exec_cluster: Dict[int, int] = {}
@@ -69,50 +72,48 @@ class SimStats:
     def record_forwarded_input(self, consumer_pc: int, src_index: int,
                                producer_pc: int) -> None:
         """One source operand satisfied by data forwarding."""
-        self.forwarded_inputs += 1
-        key = (consumer_pc, src_index)
-        last = self._last_producer_pc.get(key)
+        last_seen = self._last_producer_pc[src_index]
+        last = last_seen.get(consumer_pc)
+        last_seen[consumer_pc] = producer_pc
         if last is not None:
             self.repeat_checks[src_index] += 1
             if last == producer_pc:
                 self.repeat_hits[src_index] += 1
-        self._last_producer_pc[key] = producer_pc
 
     def record_critical(self, inst, interconnect) -> None:
         """Record critical-input statistics at dispatch time."""
-        if inst.critical_src < 0:
+        src = inst.critical_src
+        if src < 0:
             return
         # Track execution-cluster changes of the static instruction.
         pc = inst.static.pc
         cluster = inst.cluster
-        last = self._last_exec_cluster.get(pc)
-        self._last_exec_cluster[pc] = cluster
-        self.exec_instances += 1
+        last_cluster = self._last_exec_cluster
+        last = last_cluster.get(pc)
+        last_cluster[pc] = cluster
         migrated = last is not None and last != cluster
         if migrated:
             self.exec_migrations += 1
         if not inst.critical_forwarded:
             self.critical_from_rf += 1
             return
-        if inst.critical_src == 0:
+        if src == 0:
             self.critical_from_rs1 += 1
         else:
             self.critical_from_rs2 += 1
-        self.critical_forwarded += 1
         distance = inst.critical_distance
         self.critical_forward_distance_sum += distance
         if distance == 0:
             self.critical_forwarded_intra_cluster += 1
         if inst.critical_inter_trace:
-            self.critical_forwarded_inter_trace += 1
-            producer = inst.critical_producer
-            key = (pc, inst.critical_src)
-            last = self._last_producer_pc_inter.get(key)
+            producer_pc = inst.critical_producer.static.pc
+            last_seen = self._last_producer_pc_inter[src]
+            last = last_seen.get(pc)
+            last_seen[pc] = producer_pc
             if last is not None:
-                self.repeat_checks_inter[inst.critical_src] += 1
-                if last == producer.static.pc:
-                    self.repeat_hits_inter[inst.critical_src] += 1
-            self._last_producer_pc_inter[key] = producer.static.pc
+                self.repeat_checks_inter[src] += 1
+                if last == producer_pc:
+                    self.repeat_hits_inter[src] += 1
         if migrated:
             self.migrating_critical_forwarded += 1
             if distance == 0:
@@ -121,6 +122,28 @@ class SimStats:
     # ------------------------------------------------------------------
     # Derived metrics.
     # ------------------------------------------------------------------
+    @property
+    def forwarded_inputs(self) -> int:
+        """Source operands satisfied by forwarding (every Table 3 event)."""
+        return (sum(self.repeat_checks)
+                + sum(map(len, self._last_producer_pc)))
+
+    @property
+    def critical_forwarded_inter_trace(self) -> int:
+        """Critical forwarded inputs whose producer is in another trace."""
+        return (sum(self.repeat_checks_inter)
+                + sum(map(len, self._last_producer_pc_inter)))
+
+    @property
+    def critical_forwarded(self) -> int:
+        """Instructions whose critical input was forwarded."""
+        return self.critical_from_rs1 + self.critical_from_rs2
+
+    @property
+    def exec_instances(self) -> int:
+        """Dispatched instructions with at least one input (Table 10)."""
+        return self.critical_from_rf + self.critical_forwarded
+
     @property
     def ipc(self) -> float:
         """Retired instructions per cycle."""

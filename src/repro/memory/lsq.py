@@ -13,7 +13,11 @@ Entries are tracked by sequence number so age comparisons are exact.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import List, Tuple
+
+#: Larger than any sequence number: "no entry".
+_NEVER = 1 << 62
 
 
 class StoreBuffer:
@@ -22,8 +26,11 @@ class StoreBuffer:
     def __init__(self, entries: int = 32, word_size: int = 8) -> None:
         self.capacity = entries
         self.word_size = word_size
-        #: (seq, word-aligned address), oldest first.
+        #: (seq, word-aligned address) in insertion (dispatch) order,
+        #: which is not program order: stores dispatch out of order.
         self._entries: List[Tuple[int, int]] = []
+        #: Smallest buffered sequence number (``_NEVER`` when empty).
+        self._oldest = _NEVER
         self.forwards = 0
 
     def __len__(self) -> int:
@@ -39,6 +46,8 @@ class StoreBuffer:
         if self.full:
             return False
         self._entries.append((seq, addr // self.word_size))
+        if seq < self._oldest:
+            self._oldest = seq
         return True
 
     def forward_for_load(self, seq: int, addr: int) -> bool:
@@ -51,12 +60,20 @@ class StoreBuffer:
         return False
 
     def release_up_to(self, seq: int) -> None:
-        """Drain stores with sequence number <= ``seq`` (written to cache)."""
-        self._entries = [e for e in self._entries if e[0] > seq]
+        """Drain stores with sequence number <= ``seq`` (written to cache).
+
+        Most retiring cycles drain nothing, and then cost one comparison.
+        """
+        if seq < self._oldest:
+            return
+        entries = [e for e in self._entries if e[0] > seq]
+        self._entries = entries
+        self._oldest = min(entries)[0] if entries else _NEVER
 
     def clear(self) -> None:
         """Empty the buffer (used on reset)."""
         self._entries.clear()
+        self._oldest = _NEVER
 
 
 class LoadQueue:
@@ -64,7 +81,8 @@ class LoadQueue:
 
     The paper's load queue performs no speculative disambiguation, so its
     architectural role here is purely as a structural resource: when it is
-    full, further loads cannot issue to the memory unit.
+    full, further loads cannot issue to the memory unit.  Loads enter at
+    issue, in program order, so the queue is sorted by sequence number.
     """
 
     def __init__(self, entries: int = 32) -> None:
@@ -80,15 +98,19 @@ class LoadQueue:
         return len(self._seqs) >= self.capacity
 
     def insert(self, seq: int) -> bool:
-        """Track a load; returns ``False`` when the queue is full."""
+        """Track a load (younger than every tracked one); returns
+        ``False`` when the queue is full."""
         if self.full:
             return False
         self._seqs.append(seq)
         return True
 
     def release_up_to(self, seq: int) -> None:
-        """Remove loads with sequence number <= ``seq`` (retired)."""
-        self._seqs = [s for s in self._seqs if s > seq]
+        """Remove loads with sequence number <= ``seq`` (retired): the
+        queue's oldest prefix."""
+        seqs = self._seqs
+        if seqs and seqs[0] <= seq:
+            del seqs[:bisect_right(seqs, seq)]
 
     def clear(self) -> None:
         """Empty the queue (used on reset)."""

@@ -107,7 +107,7 @@ class PhaseProfiler:
 
         def timed_retire(now):
             stamps[0] = clock()
-            retire(now)
+            return retire(now)
 
         def timed_execute(now):
             execute(now)

@@ -15,7 +15,8 @@ cluster differs from the instruction's previous assignment.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.isa import BranchKind, DynInst
 from repro.isa.instruction import LeaderFollower
@@ -35,17 +36,6 @@ class PendingTrace:
         self.num_blocks = 0
         self.last_block = -1
 
-    def add(self, inst: DynInst) -> None:
-        block = inst.static.block_id
-        if block != self.last_block:
-            self.num_blocks += 1
-            self.last_block = block
-        self.insts.append(inst)
-
-    def would_open_block(self, inst: DynInst) -> bool:
-        """True if appending ``inst`` would start a new basic block."""
-        return inst.static.block_id != self.last_block
-
     def __len__(self) -> int:
         return len(self.insts)
 
@@ -63,8 +53,8 @@ class FillUnit:
         self.trace_cache = trace_cache
         self.strategy = strategy
         self._pending = PendingTrace()
-        self._install_queue: List[Tuple[int, TraceLine]] = []
-        self._now = 0
+        #: ``(install cycle, line)`` in retire order, so sorted by cycle.
+        self._install_queue: Deque[Tuple[int, TraceLine]] = deque()
         #: The owning pipeline's ``observers`` tuple, mirrored here by
         #: ``observer.attach(pipeline)``.
         self.observers = ()
@@ -80,19 +70,21 @@ class FillUnit:
     # ------------------------------------------------------------------
     def retire(self, inst: DynInst, now: int) -> None:
         """Feed one retiring instruction (in program order)."""
-        self._now = now
         pending = self._pending
-        width = self.config.width
-        if len(pending.insts) >= width or (
-            pending.num_blocks >= self.config.tc_max_blocks
-            and pending.would_open_block(inst)
-        ):
+        block = inst.static.block_id
+        # A full trace was finalised when its last instruction came in.
+        if (block != pending.last_block
+                and pending.num_blocks >= self.config.tc_max_blocks):
             self._finalize(now)
             pending = self._pending
-        pending.add(inst)
+        if block != pending.last_block:
+            pending.num_blocks += 1
+            pending.last_block = block
+        insts = pending.insts
+        insts.append(inst)
         if (
             inst.static.branch_kind == BranchKind.RETURN
-            or len(pending.insts) >= width
+            or len(insts) >= self.config.width
             or (inst.taken and self._is_backward_taken(inst))
         ):
             self._finalize(now)
@@ -118,29 +110,22 @@ class FillUnit:
         self._finalize(now)
 
     def next_install(self) -> Optional[int]:
-        """Cycle of the earliest pending line install, or ``None``.
-
-        Lines queue in retire order with a fixed latency, so the queue
-        is sorted by install cycle.
-        """
+        """Cycle of the earliest pending line install, or ``None``."""
         queue = self._install_queue
         return queue[0][0] if queue else None
 
     def tick(self, now: int) -> None:
         """Install lines whose fill latency has elapsed."""
-        if not self._install_queue:
+        queue = self._install_queue
+        if not queue or queue[0][0] > now:
             return
-        remaining = []
         observers = self.observers
-        for ready, line in self._install_queue:
-            if ready <= now:
-                self.trace_cache.insert(line)
-                if observers:
-                    for observer in observers:
-                        observer.on_fill_install(line, ready, now)
-            else:
-                remaining.append((ready, line))
-        self._install_queue = remaining
+        while queue and queue[0][0] <= now:
+            ready, line = queue.popleft()
+            self.trace_cache.insert(line)
+            if observers:
+                for observer in observers:
+                    observer.on_fill_install(line, ready, now)
 
     # ------------------------------------------------------------------
     def _finalize(self, now: int) -> None:
@@ -151,7 +136,7 @@ class FillUnit:
         key = self._trace_key(insts)
         slots = self.strategy.reorder(insts)
         line = self._build_line(key, insts, slots, pending.num_blocks)
-        self._record_migration(insts, slots)
+        self._record_migration(insts, line.clusters)
         self.traces_built += 1
         self.trace_instruction_sum += len(insts)
         self._install_queue.append((now + self.config.fill_unit_latency, line))
@@ -159,12 +144,12 @@ class FillUnit:
 
     def _trace_key(self, insts: List[DynInst]) -> TraceKey:
         """(start pc, internal conditional-branch directions)."""
-        dirs = tuple(
-            inst.taken
-            for inst in insts[:-1]
-            if inst.static.branch_kind == BranchKind.CONDITIONAL
-        )
-        return (insts[0].static.pc, dirs)
+        conditional = BranchKind.CONDITIONAL
+        dirs = []
+        for inst in insts[:-1]:
+            if inst.static.branch_kind == conditional:
+                dirs.append(inst.taken)
+        return (insts[0].static.pc, tuple(dirs))
 
     def _build_line(
         self,
@@ -174,49 +159,46 @@ class FillUnit:
         num_blocks: int,
     ) -> TraceLine:
         trace_slots: List[Optional[TraceSlot]] = [None] * len(slots)
-        placed = set()
-        for p, logical in enumerate(slots):
-            if logical is None:
-                continue
-            inst = insts[logical]
-            trace_slots[p] = TraceSlot(
-                inst.static,
-                logical,
-                chain_cluster=inst.chain_cluster,
-                leader_follower=inst.leader_follower,
-            )
-            placed.add(logical)
-        missing = [i for i in range(len(insts)) if i not in placed]
-        if missing:
-            raise RuntimeError(
-                f"strategy {self.strategy.name!r} dropped logical indices "
-                f"{missing} from a {len(insts)}-instruction trace"
-            )
-        return TraceLine(key, trace_slots, num_blocks)
-
-    def _record_migration(
-        self, insts: List[DynInst], slots: List[Optional[int]]
-    ) -> None:
-        per = self.config.slots_per_cluster
-        cluster_of_logical: Dict[int, int] = {}
         for p, logical in enumerate(slots):
             if logical is not None:
-                cluster_of_logical[logical] = p // per
-        for logical, inst in enumerate(insts):
-            cluster = cluster_of_logical.get(logical)
-            if cluster is None:
-                continue
+                inst = insts[logical]
+                trace_slots[p] = TraceSlot(
+                    inst.static, logical, inst.chain_cluster,
+                    inst.leader_follower)
+        if len(slots) - slots.count(None) == len(insts):
+            line = TraceLine(key, trace_slots, num_blocks,
+                             self.config.slots_per_cluster)
+            if None not in line.order:
+                return line
+        missing = sorted(set(range(len(insts))) - set(slots))
+        raise RuntimeError(
+            f"strategy {self.strategy.name!r} dropped logical indices "
+            f"{missing} from a {len(insts)}-instruction trace"
+        )
+
+    def _record_migration(
+        self, insts: List[DynInst], clusters: List[int]
+    ) -> None:
+        """Table 9: ``clusters[k]`` is where logical instruction ``k``
+        of the new line issues."""
+        last_assigned = self._last_assigned_cluster
+        none = LeaderFollower.NONE
+        migrations = chain_instances = chain_migrations = 0
+        for inst, cluster in zip(insts, clusters):
             pc = inst.static.pc
-            previous = self._last_assigned_cluster.get(pc)
-            self._last_assigned_cluster[pc] = cluster
-            is_chain = inst.leader_follower != LeaderFollower.NONE
-            self.fill_instances += 1
+            previous = last_assigned.get(pc)
+            last_assigned[pc] = cluster
+            is_chain = inst.leader_follower != none
             if is_chain:
-                self.chain_instances += 1
+                chain_instances += 1
             if previous is not None and previous != cluster:
-                self.fill_migrations += 1
+                migrations += 1
                 if is_chain:
-                    self.chain_migrations += 1
+                    chain_migrations += 1
+        self.fill_instances += len(insts)
+        self.fill_migrations += migrations
+        self.chain_instances += chain_instances
+        self.chain_migrations += chain_migrations
 
     # ------------------------------------------------------------------
     @property

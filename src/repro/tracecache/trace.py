@@ -10,7 +10,6 @@ paper's fill unit marks it.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import List, Optional, Tuple
 
 from repro.isa import Instruction
@@ -18,8 +17,6 @@ from repro.isa.instruction import LeaderFollower
 
 #: (start_pc, internal conditional-branch directions)
 TraceKey = Tuple[int, Tuple[bool, ...]]
-
-_LOGICAL = attrgetter("logical")
 
 
 class TraceSlot:
@@ -57,32 +54,46 @@ class TraceLine:
 
     ``slots[p]`` is the instruction issued from physical slot ``p``;
     ``None`` marks an empty slot (traces shorter than the line width leave
-    trailing cluster slots empty).  ``key`` identifies the path;
+    trailing cluster slots empty).  The filled slots hold logical
+    positions ``0 .. length-1``.  ``key`` identifies the path;
     ``num_blocks`` is the number of basic blocks merged into the trace.
+
+    Every fetch walks the line in program order, so that order is
+    computed once, here: ``order[k]`` is the slot of logical position
+    ``k`` and ``clusters[k]`` the cluster it issues to (physical slot
+    ``p`` issues to cluster ``p // slots_per_cluster``; the default is
+    the paper's 16-wide, four-cluster machine).
     """
 
-    __slots__ = ("key", "slots", "num_blocks", "length")
+    __slots__ = ("key", "start_pc", "slots", "num_blocks", "length",
+                 "order", "clusters")
 
     def __init__(
         self,
         key: TraceKey,
         slots: List[Optional[TraceSlot]],
         num_blocks: int,
+        slots_per_cluster: int = 4,
     ) -> None:
         self.key = key
+        #: pc of the logically first instruction.
+        self.start_pc = key[0]
         self.slots = slots
         self.num_blocks = num_blocks
-        self.length = len(slots) - slots.count(None)
-
-    @property
-    def start_pc(self) -> int:
-        """pc of the logically first instruction."""
-        return self.key[0]
+        self.length = length = len(slots) - slots.count(None)
+        order: List[TraceSlot] = [None] * length
+        clusters = [0] * length
+        for p, slot in enumerate(slots):
+            if slot is not None:
+                logical = slot.logical
+                order[logical] = slot
+                clusters[logical] = p // slots_per_cluster
+        self.order = order
+        self.clusters = clusters
 
     def logical_order(self) -> List[TraceSlot]:
         """Slots sorted by logical position (program order)."""
-        filled = [s for s in self.slots if s is not None]
-        return sorted(filled, key=_LOGICAL)
+        return self.order
 
     def slot_of_logical(self, logical: int) -> Optional[int]:
         """Physical slot index of logical position ``logical``."""
