@@ -48,18 +48,24 @@ face; eviction counts land in the same per-shard counters ``/metrics``
 exports.
 
 Persistent counters: every hit/miss/store/eviction is also accumulated
-into a per-process delta file under ``stats/`` (atomic rewrite, one
-file per process — no cross-process contention).  ``repro cache
-stats`` sums them for the "hit rate since last reset" report;
-``--reset`` clears them.
+in memory and written to a per-process delta file under ``stats/``
+(atomic rewrite, one file per process — no cross-process contention)
+at flush points: the end of an engine run and of each service worker
+job, before :meth:`ResultCache.persistent_stats` and
+:meth:`ResultCache.reset_persistent_stats` read, at most once a second
+while a process keeps counting, and at interpreter exit (see
+:func:`flush_persistent_stats`).  ``repro cache stats`` sums the files
+for the "hit rate since last reset" report; ``--reset`` clears them.
 """
 
 from __future__ import annotations
 
+import atexit
 import dataclasses
 import json
 import os
 import tempfile
+import threading
 import time
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -124,8 +130,55 @@ class CacheStats:
 #: Process-wide aggregate over every ResultCache instance.
 _GLOBAL_STATS = CacheStats()
 
+#: Seconds between delta-file writes while a process keeps counting.
+PERSIST_INTERVAL = 1.0
+
+
+class _Delta:
+    """This process's persistent counts for one stats directory."""
+
+    __slots__ = ("path", "pid", "record", "dirty", "written")
+
+    def __init__(self, stats_dir: str) -> None:
+        self.pid = os.getpid()
+        self.path = os.path.join(stats_dir, f"proc-{self.pid}.json")
+        self.record = {field: 0 for field in _COUNTER_FIELDS}
+        self.record["since"] = time.time()
+        self.record["pid"] = self.pid
+        self.dirty = False
+        #: ``time.monotonic()`` of the last write (None: never written).
+        self.written: Optional[float] = None
+
+    def write(self) -> None:
+        """Write the counts if any changed since the last write.
+
+        Best-effort: a sick disk degrades the report, never the
+        simulation.  A forked child never writes its parent's record.
+        """
+        if not self.dirty or self.pid != os.getpid():
+            return
+        self.dirty = False
+        self.written = time.monotonic()
+        try:
+            os.makedirs(os.path.dirname(self.path), exist_ok=True)
+            _write_atomic_json(self.path, self.record)
+        except OSError:
+            pass
+
+
 #: Per-process persistent delta accumulators, keyed by stats directory.
-_PERSIST: Dict[str, dict] = {}
+_PERSIST: Dict[str, _Delta] = {}
+_PERSIST_LOCK = threading.Lock()
+
+
+def flush_persistent_stats() -> None:
+    """Write this process's unwritten persistent counts to disk."""
+    with _PERSIST_LOCK:
+        for delta in _PERSIST.values():
+            delta.write()
+
+
+atexit.register(flush_persistent_stats)
 
 
 def global_cache_stats() -> CacheStats:
@@ -597,6 +650,7 @@ class ResultCache:
     # ------------------------------------------------------------------
     def persistent_stats(self) -> dict:
         """Sum every process's delta file: counters since last reset."""
+        flush_persistent_stats()
         totals = {field: 0 for field in _COUNTER_FIELDS}
         since: Optional[float] = None
         files = 0
@@ -630,7 +684,11 @@ class ResultCache:
         return totals
 
     def reset_persistent_stats(self) -> int:
-        """Delete every delta file; returns how many were removed."""
+        """Delete every delta file, this process's unwritten counts
+        included; returns how many files were removed."""
+        flush_persistent_stats()
+        with _PERSIST_LOCK:
+            _PERSIST.pop(self.stats_dir, None)
         removed = 0
         try:
             names = os.listdir(self.stats_dir)
@@ -643,31 +701,26 @@ class ResultCache:
                     removed += 1
                 except OSError:
                     pass
-        _PERSIST.pop(self.stats_dir, None)
         return removed
 
     def _persist(self, field: str) -> None:
-        """Accumulate one count into this process's delta file.
+        """Accumulate one count for this process's delta file.
 
         Each process owns exactly one file per cache root (atomic
         rewrite), so concurrent processes never contend; ``repro cache
-        stats`` sums the files.  Best-effort: a sick disk degrades the
-        report, never the simulation.
+        stats`` sums the files.  The count is written at once only if
+        the file was last written :data:`PERSIST_INTERVAL` seconds ago
+        or more; otherwise it waits for the next flush point.
         """
-        record = _PERSIST.get(self.stats_dir)
-        if record is None:
-            record = {f: 0 for f in _COUNTER_FIELDS}
-            record["since"] = time.time()
-            record["pid"] = os.getpid()
-            _PERSIST[self.stats_dir] = record
-        record[field] = record.get(field, 0) + 1
-        try:
-            os.makedirs(self.stats_dir, exist_ok=True)
-            _write_atomic_json(
-                os.path.join(self.stats_dir, f"proc-{os.getpid()}.json"),
-                record)
-        except OSError:
-            pass
+        with _PERSIST_LOCK:
+            delta = _PERSIST.get(self.stats_dir)
+            if delta is None or delta.pid != os.getpid():
+                delta = _PERSIST[self.stats_dir] = _Delta(self.stats_dir)
+            delta.record[field] += 1
+            delta.dirty = True
+            if (delta.written is None
+                    or time.monotonic() - delta.written >= PERSIST_INTERVAL):
+                delta.write()
 
     # ------------------------------------------------------------------
     def _count(self, field: str, shard: Optional[int] = None) -> None:

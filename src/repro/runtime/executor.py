@@ -77,7 +77,7 @@ from repro.obs.spans import SpanRecorder, TraceContext
 from repro.resilience.faults import FaultPlan, InjectedFault
 from repro.resilience.resume import ResumeState, load_resume_state
 from repro.resilience.watchdog import reap_executor
-from repro.runtime.cache import ResultCache
+from repro.runtime.cache import ResultCache, flush_persistent_stats
 from repro.runtime.job import SimJob
 from repro.runtime.observe import EngineReport, JobEvent, ProgressCallback
 from repro.runtime.settings import (
@@ -456,6 +456,7 @@ class ExperimentEngine:
             status = "partial" if report.failed else "complete"
         finally:
             self._restore_signals(previous_handlers)
+            flush_persistent_stats()
             report.elapsed = time.perf_counter() - started
             if self.telemetry is not None:
                 report.telemetry_write_errors = self.telemetry.write_errors

@@ -65,7 +65,7 @@ from typing import Optional
 
 from repro.obs.heartbeat import HEARTBEAT_SCHEMA_VERSION
 from repro.obs.spans import SpanRecorder, TraceContext
-from repro.runtime.cache import ResultCache
+from repro.runtime.cache import ResultCache, flush_persistent_stats
 from repro.runtime.job import SimJob
 from repro.runtime.settings import resolve_trace_dir
 
@@ -285,6 +285,7 @@ class WorkerAgent:
             self._execute(claim, job, key, index, attempt, run_id,
                           context, claim_span)
         finally:
+            flush_persistent_stats()
             if context is not None:
                 self.spans.pop()
                 self._ship_spans()

@@ -8,6 +8,8 @@ torn or mixed entry.
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -207,6 +209,51 @@ class TestCounters:
         assert removed == 1
         fresh = cache.persistent_stats()
         assert fresh["hits"] == 0 and fresh["processes"] == 0
+
+    def test_counts_wait_in_memory_for_a_flush_point(self, monkeypatch):
+        """Only the first count is written at once; the rest reach the
+        delta file at the next flush point, here ``persistent_stats``."""
+        from repro.runtime import cache as cache_module
+
+        monkeypatch.setattr(cache_module, "PERSIST_INTERVAL", 3600.0)
+        cache = ResultCache()
+        job = make_job()
+        cache.store(job, make_result())
+        cache.load(job)
+        cache.load(job)
+        delta = os.path.join(cache.stats_dir, f"proc-{os.getpid()}.json")
+        with open(delta, encoding="utf-8") as handle:
+            written = json.load(handle)
+        assert written["stores"] == 1 and written["hits"] == 0
+        assert cache.persistent_stats()["hits"] == 2
+        with open(delta, encoding="utf-8") as handle:
+            assert json.load(handle)["hits"] == 2
+
+    def test_second_process_sees_counts_after_first_exits(self, tmp_path):
+        """A process that exits without a flush point still leaves its
+        counts behind: they are written at interpreter exit."""
+        root = str(tmp_path / "cache")
+        code = (
+            "import sys\n"
+            "sys.path.insert(0, {tests!r})\n"
+            "from test_cache_sharding import make_job, make_result\n"
+            "from repro.runtime import ResultCache\n"
+            "cache = ResultCache(root={root!r}, remote=False)\n"
+            "job = make_job()\n"
+            "cache.store(job, make_result())\n"
+            "cache.load(job)\n"
+            "cache.load(job)\n"
+            "cache.load(make_job(instructions=9_999))\n"
+        ).format(tests=os.path.dirname(__file__), root=root)
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       timeout=120)
+        totals = ResultCache(root=root, remote=False).persistent_stats()
+        assert totals["processes"] == 1
+        assert totals["stores"] == 1
+        assert totals["hits"] == 2 and totals["misses"] == 1
 
     def test_load_key_serves_raw_entry(self):
         cache = ResultCache()
