@@ -39,6 +39,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import socketserver
 import threading
 import time
 import uuid
@@ -52,6 +53,19 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: Metric-name prefix for everything this exporter emits.
 METRIC_PREFIX = "repro_"
+
+
+class _HTTPServer(ThreadingHTTPServer):
+    """A ``ThreadingHTTPServer`` that binds without a reverse-DNS lookup.
+
+    The stdlib ``server_bind`` sets ``server_name`` from
+    ``socket.getfqdn(host)``, which takes as long as reverse DNS does;
+    nothing here reads ``server_name``, so it is just the bound host.
+    """
+
+    def server_bind(self) -> None:
+        socketserver.TCPServer.server_bind(self)
+        self.server_name, self.server_port = self.server_address[:2]
 
 
 def prom_name(name: str) -> str:
@@ -177,7 +191,7 @@ class TelemetryServer:
         self.port = port
         self.started = time.time()
         self.scrapes = 0
-        self._httpd: Optional[ThreadingHTTPServer] = None
+        self._httpd: Optional[_HTTPServer] = None
         self._thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
@@ -197,7 +211,7 @@ class TelemetryServer:
             def do_POST(self):
                 server.handle_post(self)
 
-        self._httpd = ThreadingHTTPServer((self.host, self.port), Handler)
+        self._httpd = _HTTPServer((self.host, self.port), Handler)
         self._httpd.daemon_threads = True
         self.port = self._httpd.server_address[1]
         self._thread = threading.Thread(

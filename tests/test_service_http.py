@@ -365,3 +365,24 @@ class TestMetricsAndCompat:
             assert "read-only" in document["error"]
         finally:
             plain.stop()
+
+
+class TestBinding:
+    def test_servers_bind_without_reverse_dns(self, tmp_path, monkeypatch):
+        """Neither server resolves its own host name: a reverse-DNS
+        lookup can block for as long as the resolver takes."""
+        import socket
+
+        def no_lookup(*args, **kwargs):
+            raise AssertionError("socket.getfqdn called")
+
+        monkeypatch.setattr(socket, "getfqdn", no_lookup)
+        for server in (TelemetryServer(telemetry_dir=str(tmp_path / "t")),
+                       ServiceServer(str(tmp_path / "data"),
+                                     lease_seconds=30)):
+            server.start()
+            try:
+                status, _ = get(server.url, "/healthz")
+                assert status == 200
+            finally:
+                server.stop()
