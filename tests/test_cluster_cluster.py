@@ -161,6 +161,26 @@ class TestWakeup:
         assert cluster.dispatch_cycle(9, wake_at(9), always_ready,
                                       record) == 1
 
+    def test_entry_accepted_unwoken_waits_for_its_producer(self):
+        """``accept(..., woken=False)``: the caller already parked the
+        entry on a producer, so no select evaluates it until it is woken."""
+        cluster = Cluster(0)
+        inst = make_dyn(0, Opcode.ADD)
+        assert cluster.accept(inst, now=0, woken=False)
+        assert not cluster.woken and cluster.occupancy == 1
+        evaluated = []
+
+        def wake(i):
+            evaluated.append(i)
+            return 9
+
+        record = lambda i, u, now: None  # noqa: E731
+        assert cluster.dispatch_cycle(1, wake, always_ready, record) == 0
+        assert not evaluated
+        cluster.woken.append(inst)
+        assert cluster.dispatch_cycle(9, wake, always_ready, record) == 1
+        assert evaluated == [inst]
+
     def test_parked_entry_returns_on_unpark(self):
         cluster = Cluster(0)
         load = make_dyn(0, Opcode.LOAD, dest=8, srcs=(1,))
