@@ -36,6 +36,7 @@ import json
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro._jsonfile import parse_jsonl
 from repro.core.accounting import CYCLE_LOSS_CATEGORIES
 
 #: Bump on any change to features, gains, or quantisation: stored phase
@@ -304,7 +305,7 @@ def load_timeline(path: str) -> Tuple[dict, List[dict]]:
     Accepts both shapes ``repro timeline`` writes: the JSONL form
     (header line then one window per line) and the single-document
     ``--json`` form (``{"meta": ..., "windows": [...]}``).  Torn JSONL
-    tail lines are skipped, matching every other reader in the repo.
+    tail lines are skipped.
     """
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
@@ -316,16 +317,8 @@ def load_timeline(path: str) -> Tuple[dict, List[dict]]:
         return dict(document.get("meta") or {}), list(document["windows"])
     meta: dict = {}
     windows: List[dict] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue  # torn tail
-        if not isinstance(record, dict):
-            continue
+    records, _ = parse_jsonl(text.splitlines())
+    for record in records:
         if record.get("kind") == "interval-series" or (
                 not windows and not meta and "cycles" not in record):
             meta = record

@@ -21,19 +21,20 @@ shared-nothing channel through the run's telemetry directory:
 * ``repro top`` and the :class:`~repro.obs.server.TelemetryServer`
   exporter read the same records to render live per-job progress.
 
-Writes are atomic (temp file + ``os.replace``) and best-effort: a full
-disk degrades heartbeats (counted in :attr:`HeartbeatWriter.errors`),
-it never fails a simulation.  The hook only *reads* pipeline state, so
-simulated results are byte-identical with heartbeats on or off.
+Writes follow the atomic-replace rule of :mod:`repro._jsonfile` and
+are best-effort: a full disk degrades heartbeats (counted in
+:attr:`HeartbeatWriter.errors`), it never fails a simulation.  The
+hook only *reads* pipeline state, so simulated results are
+byte-identical with heartbeats on or off.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
 import time
 from typing import Dict, List, Optional
+
+from repro._jsonfile import read_json, write_json_atomic
 
 #: Heartbeat record layout; bump on incompatible changes.
 HEARTBEAT_SCHEMA_VERSION = 1
@@ -135,19 +136,7 @@ class HeartbeatWriter:
         if self.profiler is not None:
             record["profile"] = dict(self.profiler.seconds)
         try:
-            fd, tmp_path = tempfile.mkstemp(
-                dir=self.directory, prefix=".hb-", suffix=".json"
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(record, handle, sort_keys=True)
-                os.replace(tmp_path, self.path)
-            except BaseException:
-                try:
-                    os.remove(tmp_path)
-                except OSError:
-                    pass
-                raise
+            write_json_atomic(self.path, record)
         except OSError:
             # A sick disk must never take the simulation down.
             self.errors += 1
@@ -159,7 +148,7 @@ def read_heartbeats(directory: str) -> List[dict]:
     """All parseable heartbeat records under ``directory``, by index.
 
     Tolerates a missing directory (no heartbeats yet) and torn or
-    foreign files (skipped), mirroring the journal reader's policy.
+    foreign files (skipped).
     """
     directory = os.fspath(directory)
     records: List[dict] = []
@@ -170,13 +159,8 @@ def read_heartbeats(directory: str) -> List[dict]:
     for name in names:
         if not name.startswith("hb-") or not name.endswith(".json"):
             continue
-        try:
-            with open(os.path.join(directory, name),
-                      encoding="utf-8") as handle:
-                record = json.load(handle)
-        except (OSError, ValueError):
-            continue
-        if isinstance(record, dict) and "index" in record:
+        record = read_json(os.path.join(directory, name))
+        if record is not None and "index" in record:
             records.append(record)
     records.sort(key=lambda r: r.get("index", 0))
     return records

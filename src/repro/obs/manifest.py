@@ -19,9 +19,9 @@ artifacts under a telemetry directory:
     report, cache counters, per-job records (key, label, benchmark,
     strategy, seed, budgets, final status, retries, failure reason,
     seconds, and the full ``SimResult`` in ``to_dict`` form), plus host
-    info and the repository's git SHA when available.  Written
-    atomically (temp file + ``os.replace``) so a crashed run never
-    leaves a torn manifest.  Carrying results makes the manifest
+    info and the repository's git SHA when available.  Written under
+    the atomic-replace rule of :mod:`repro._jsonfile`, so a crashed run
+    never leaves a torn manifest.  Carrying results makes the manifest
     self-contained: ``repro analyze`` and ``repro diff`` consume it
     without re-running anything.
 
@@ -44,10 +44,11 @@ import os
 import platform
 import subprocess
 import sys
-import tempfile
 import time
 import uuid
 from typing import Dict, List, Optional
+
+from repro._jsonfile import append_jsonl, write_json_atomic
 
 #: Manifest document schema; bump on incompatible layout changes.
 #: v2: job records carry benchmark/strategy/seed/instruction budgets
@@ -285,7 +286,7 @@ class TelemetryWriter:
             manifest["cache"] = cache_stats.to_dict()
         try:
             self._inject_write_fault()
-            self._write_atomic(self.manifest_path, manifest)
+            write_json_atomic(self.manifest_path, manifest, indent=2)
         except OSError as error:
             self._degrade(error)
             return None
@@ -311,27 +312,9 @@ class TelemetryWriter:
             record.setdefault("run_id", self.run_id)
         try:
             self._inject_write_fault()
-            with open(self.events_path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+            append_jsonl(self.events_path, record)
         except OSError as error:
             self._degrade(error)
-
-    @staticmethod
-    def _write_atomic(path: str, document: dict) -> None:
-        directory = os.path.dirname(path)
-        fd, tmp_path = tempfile.mkstemp(
-            dir=directory, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, indent=2, sort_keys=True)
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.remove(tmp_path)
-            except OSError:
-                pass
-            raise
 
 
 def load_manifest(directory: str) -> dict:

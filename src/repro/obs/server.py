@@ -46,6 +46,7 @@ import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional
 
+from repro._jsonfile import read_json, read_jsonl
 from repro.obs.heartbeat import HeartbeatMonitor, heartbeat_dir
 
 #: Exposition content type for Prometheus text format 0.0.4.
@@ -259,12 +260,9 @@ class TelemetryServer:
             return writer.jobs_snapshot()
         directory = self.telemetry_dir
         if directory is not None:
-            try:
-                with open(os.path.join(directory, "manifest.json"),
-                          encoding="utf-8") as handle:
-                    return list(json.load(handle).get("jobs", []))
-            except (OSError, ValueError):
-                pass
+            manifest = read_json(os.path.join(directory, "manifest.json"))
+            if manifest is not None:
+                return list(manifest.get("jobs", []))
         return []
 
     # ------------------------------------------------------------------
@@ -307,41 +305,31 @@ class TelemetryServer:
         directory = self.telemetry_dir
         if directory is not None:
             open_runs: Dict[int, dict] = {}
-            try:
-                with open(os.path.join(directory, "events.jsonl"),
-                          encoding="utf-8") as handle:
-                    for line in handle:
-                        try:
-                            record = json.loads(line)
-                        except ValueError:
-                            continue
-                        event = record.get("event")
-                        if event == "run_start":
-                            entry = {
-                                "run": record.get("run"),
-                                "started": record.get("ts"),
-                                "jobs": record.get("jobs"),
-                                "status": "running",
-                            }
-                            open_runs[record.get("run")] = entry
-                            entries.append(entry)
-                        elif event == "run_end":
-                            entry = open_runs.pop(
-                                record.get("run"), None)
-                            if entry is None:
-                                entry = {"run": record.get("run")}
-                                entries.append(entry)
-                            entry.update({
-                                "finished": record.get("ts"),
-                                "status": record.get("status",
-                                                     "complete"),
-                                "elapsed": record.get("elapsed"),
-                                "cache_hits": record.get("cache_hits"),
-                                "executed": record.get("executed"),
-                                "failed": record.get("failed"),
-                            })
-            except OSError:
-                pass
+            records, _ = read_jsonl(os.path.join(directory, "events.jsonl"))
+            for record in records:
+                event = record.get("event")
+                if event == "run_start":
+                    entry = {
+                        "run": record.get("run"),
+                        "started": record.get("ts"),
+                        "jobs": record.get("jobs"),
+                        "status": "running",
+                    }
+                    open_runs[record.get("run")] = entry
+                    entries.append(entry)
+                elif event == "run_end":
+                    entry = open_runs.pop(record.get("run"), None)
+                    if entry is None:
+                        entry = {"run": record.get("run")}
+                        entries.append(entry)
+                    entry.update({
+                        "finished": record.get("ts"),
+                        "status": record.get("status", "complete"),
+                        "elapsed": record.get("elapsed"),
+                        "cache_hits": record.get("cache_hits"),
+                        "executed": record.get("executed"),
+                        "failed": record.get("failed"),
+                    })
         document = {"runs": entries, "telemetry_dir": directory}
         writer = getattr(self.engine, "telemetry", None)
         if writer is not None:

@@ -31,23 +31,24 @@ Context propagation: :meth:`TraceContext.to_header` renders
 ``00-<32 hex trace>-<16 hex span>-<01|00>``, carried both as a
 ``traceparent`` HTTP header and as a ``trace`` field in the job payload
 (peeled off before validation exactly like ``run_id``).  Readers
-(:func:`read_spans`) tolerate torn tails the same way the queue journal
-replay does.  ``repro spans DIR|URL`` renders the per-trace waterfall
-(:func:`render_spans`) and the cross-trace critical-path summary
-(:func:`critical_path`); :func:`spans_to_chrome` merges spans with an
-existing :class:`~repro.obs.tracer.CycleTracer` export into one
+(:func:`read_spans`) skip torn tails by the torn-line rule of
+:mod:`repro._jsonfile`.  ``repro spans DIR|URL`` renders the per-trace
+waterfall (:func:`render_spans`) and the cross-trace critical-path
+summary (:func:`critical_path`); :func:`spans_to_chrome` merges spans
+with an existing :class:`~repro.obs.tracer.CycleTracer` export into one
 Perfetto-loadable Chrome trace.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import threading
 import time
 import uuid
 from typing import Dict, List, Optional, Sequence, Union
+
+from repro._jsonfile import append_jsonl, read_jsonl
 
 #: Bump on any change to the span record shape.
 SPAN_SCHEMA_VERSION = 1
@@ -343,9 +344,7 @@ class SpanRecorder:
                 self.buffer.append(record)
         if self.directory is not None:
             try:
-                with open(self.spans_path, "a",
-                          encoding="utf-8") as handle:
-                    handle.write(json.dumps(record, sort_keys=True) + "\n")
+                append_jsonl(self.spans_path, record)
             except OSError as error:
                 self._degrade(error)
         if self.observer is not None:
@@ -369,31 +368,15 @@ def read_spans(source: Union[str, os.PathLike]) -> List[dict]:
     """Every parseable span record in ``source`` (a directory holding
     ``spans.jsonl``, or the file itself).
 
-    Torn tail lines — a process killed mid-append — are skipped, the
-    same tolerance the queue journal replay applies.  A missing file is
-    an empty trace set, not an error.
+    Torn tail lines are skipped and a missing file is an empty trace
+    set (the torn-line rule of :mod:`repro._jsonfile`).
     """
     path = os.fspath(source)
     if os.path.isdir(path):
         path = os.path.join(path, SPANS_FILENAME)
-    records: List[dict] = []
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError:
-        return records
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue  # torn tail
-        if isinstance(record, dict) and isinstance(record.get("trace"),
-                                                   str):
-            records.append(record)
-    return records
+    records, _ = read_jsonl(path)
+    return [record for record in records
+            if isinstance(record.get("trace"), str)]
 
 
 def group_traces(spans: Sequence[dict]) -> "Dict[str, List[dict]]":

@@ -25,6 +25,7 @@ import os
 import time
 from typing import Dict, List, Optional
 
+from repro._jsonfile import read_jsonl
 from repro.obs.heartbeat import HeartbeatMonitor, heartbeat_dir
 from repro.runtime.observe import stream_is_tty
 
@@ -91,17 +92,8 @@ def read_dir_state(directory: str,
     status = "waiting"
     total = None
     summary: Dict[str, object] = {}
-    try:
-        with open(os.path.join(directory, "events.jsonl"),
-                  encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError:
-        lines = []
-    for line in lines:
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue
+    records, _ = read_jsonl(os.path.join(directory, "events.jsonl"))
+    for record in records:
         event = record.get("event")
         if event == "run_start":
             by_index = {}

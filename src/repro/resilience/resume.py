@@ -6,8 +6,9 @@ the full ``SimResult`` payload on ``done``/``hit``/``resumed`` lines —
 and snapshots ``manifest.json`` on finalize (status ``complete``,
 ``partial``, ``failed``, or ``interrupted``).
 
-:func:`load_resume_state` reads both back, tolerating a torn final
-journal line (the signature of a killed process), and produces a
+:func:`load_resume_state` reads both back under the torn-line rule of
+:mod:`repro._jsonfile` (a killed process leaves a torn final journal
+line, which is skipped and counted), and produces a
 :class:`ResumeState` the engine replays from: any job whose content
 hash appears with a completed result is satisfied from the journal
 without re-execution, everything else (pending cells, quarantined
@@ -20,9 +21,10 @@ changed sweeps — only exact-match cells are replayed.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 from typing import Dict, Optional
+
+from repro._jsonfile import parse_jsonl, read_json
 
 #: Journal statuses that mean "this job has a final, correct result".
 _COMPLETED = ("done", "hit", "resumed")
@@ -80,38 +82,24 @@ def load_resume_state(directory: str) -> ResumeState:
     events_path = os.path.join(directory, "events.jsonl")
     state = ResumeState(directory=directory)
     with open(events_path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                # Torn tail from a killed writer: everything before it
-                # is still good.
-                state.torn_lines += 1
-                continue
-            if record.get("event") != "job":
-                continue
-            key = record.get("key")
-            if not key:
-                continue  # ad-hoc Program jobs are not resumable
-            status = record.get("status")
-            if status in _COMPLETED:
-                # Keep the richest payload seen for the key.
-                payload = record.get("result")
-                if payload is not None or key not in state.results:
-                    state.results[key] = payload
-                state.failed.pop(key, None)
-            elif status == "failed":
-                state.failed[key] = record.get("reason") or "failed"
+        records, state.torn_lines = parse_jsonl(handle)
+    for record in records:
+        if record.get("event") != "job":
+            continue
+        key = record.get("key")
+        if not key:
+            continue  # ad-hoc Program jobs are not resumable
+        status = record.get("status")
+        if status in _COMPLETED:
+            # Keep the richest payload seen for the key.
+            payload = record.get("result")
+            if payload is not None or key not in state.results:
+                state.results[key] = payload
+            state.failed.pop(key, None)
+        elif status == "failed":
+            state.failed[key] = record.get("reason") or "failed"
 
-    manifest_path = os.path.join(directory, "manifest.json")
-    try:
-        with open(manifest_path, encoding="utf-8") as handle:
-            manifest = json.load(handle)
-    except (OSError, ValueError):
-        manifest = None
+    manifest = read_json(os.path.join(directory, "manifest.json"))
     if manifest:
         state.manifest_status = manifest.get("status")
         # Manifest job records can carry payloads the journal lacks

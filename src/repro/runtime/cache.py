@@ -25,12 +25,12 @@ where ``job`` is the producing job's canonical form (kept for
 debuggability — the key alone addresses the entry) and ``result`` is the
 :class:`~repro.core.simulator.SimResult` in ``to_dict`` form.
 
-Writes are atomic: the payload is written to a temporary file in the
-same directory and ``os.replace``d into place, so concurrent writers —
-pool workers, service workers on other hosts, parallel pytest sessions,
-several CLIs — can never leave a torn entry behind.  Reads treat *any*
-malformed entry (truncated JSON, schema drift, missing fields) as a
-miss: the entry is deleted best-effort and the job is re-executed.
+Writes follow the atomic-replace rule of :mod:`repro._jsonfile`, so
+concurrent writers — pool workers, service workers on other hosts,
+parallel pytest sessions, several CLIs — can never leave a torn entry
+behind.  Reads treat *any* malformed entry (truncated JSON, schema
+drift, missing fields) as a miss: the entry is deleted best-effort and
+the job is re-executed.
 
 Remote tier: with ``REPRO_SERVICE_URL`` set (or ``remote=`` passed), a
 local miss additionally asks the simulation service's HTTP cache
@@ -64,11 +64,11 @@ import atexit
 import dataclasses
 import json
 import os
-import tempfile
 import threading
 import time
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro._jsonfile import read_json, write_json_atomic
 from repro.core.result import SimResult
 from repro.runtime.job import JOB_SCHEMA_VERSION, SimJob
 from repro.runtime.settings import (
@@ -161,7 +161,7 @@ class _Delta:
         self.written = time.monotonic()
         try:
             os.makedirs(os.path.dirname(self.path), exist_ok=True)
-            _write_atomic_json(self.path, self.record)
+            write_json_atomic(self.path, self.record)
         except OSError:
             pass
 
@@ -261,7 +261,7 @@ class ResultCache:
             return
         try:
             os.makedirs(self.version_dir, exist_ok=True)
-            _write_atomic_json(self.layout_path,
+            write_json_atomic(self.layout_path,
                                {"shards": self.shards, "created": time.time()})
         except OSError:
             pass
@@ -359,11 +359,7 @@ class ResultCache:
 
     def _raw(self, key: str) -> Optional[dict]:
         """Re-read a just-migrated entry without recounting."""
-        try:
-            with open(self.path_for_key(key), encoding="utf-8") as handle:
-                return json.load(handle)
-        except (OSError, ValueError):
-            return None
+        return read_json(self.path_for_key(key))
 
     def _read_entry(self, path: str, shard: int) -> Optional[SimResult]:
         """Parse one entry file; ``None`` on missing/corrupt."""
@@ -481,19 +477,7 @@ class ResultCache:
             "result": result.to_dict(),
             "elapsed": elapsed,
         }
-        fd, tmp_path = tempfile.mkstemp(
-            dir=directory, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True)
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.remove(tmp_path)
-            except OSError:
-                pass
-            raise
+        write_json_atomic(path, payload)
         self._count("stores", self.shard_index(job.key))
 
     # ------------------------------------------------------------------
@@ -661,11 +645,8 @@ class ResultCache:
         for name in names:
             if not name.startswith("proc-") or not name.endswith(".json"):
                 continue
-            try:
-                with open(os.path.join(self.stats_dir, name),
-                          encoding="utf-8") as handle:
-                    record = json.load(handle)
-            except (OSError, ValueError):
+            record = read_json(os.path.join(self.stats_dir, name))
+            if record is None:
                 continue
             files += 1
             for field in _COUNTER_FIELDS:
@@ -754,18 +735,3 @@ def fetch_remote_entry(url: str, key: str,
         return None
     return payload if isinstance(payload, dict) else None
 
-
-def _write_atomic_json(path: str, document: dict) -> None:
-    directory = os.path.dirname(path)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-",
-                                    suffix=".json")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, sort_keys=True)
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.remove(tmp_path)
-        except OSError:
-            pass
-        raise

@@ -39,6 +39,7 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro._jsonfile import TEMP_PREFIX
 from repro.resilience.chaosproxy import ChaosProxy
 from repro.resilience.faults import FaultPlan, FaultSpec
 
@@ -447,7 +448,7 @@ def run_chaos_soak(
         torn = []
         for root, _dirs, files in os.walk(cache_dir):
             for name in files:
-                if name.startswith(".tmp-") or name.startswith(".hb-"):
+                if name.startswith(TEMP_PREFIX):
                     torn.append(os.path.join(root, name))
                 elif name.endswith(".json"):
                     try:

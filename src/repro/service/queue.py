@@ -41,12 +41,12 @@ recovery is automatic once the disk drains.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
-import tempfile
 import threading
 import time
 from typing import Dict, List, Optional
+
+from repro._jsonfile import append_jsonl, read_jsonl
 
 #: Bump on any change to the journal's record shapes.
 QUEUE_SCHEMA_VERSION = 1
@@ -149,8 +149,9 @@ class JobQueue:
     Thread-safe: the HTTP server handles each request on its own
     thread, so every public method takes the queue lock.  Persistence
     is append-only; the in-memory dict is always rebuilt from the
-    journal at startup, torn tail lines (a server killed mid-append)
-    are skipped exactly like the resume journal's replay.
+    journal at startup under the torn-line rule of
+    :mod:`repro._jsonfile` (a server killed mid-append leaves a torn
+    tail, which is skipped).
     """
 
     def __init__(self, directory: str,
@@ -196,7 +197,6 @@ class JobQueue:
         record = {"event": event, "key": key, "ts": time.time(),
                   "schema": QUEUE_SCHEMA_VERSION}
         record.update(fields)
-        line = json.dumps(record, sort_keys=True)
         ordinal = self._appends
         self._appends += 1
         try:
@@ -205,10 +205,7 @@ class JobQueue:
                                          attempt=None,
                                          path="queue") is not None):
                 raise OSError(28, "injected disk.full")  # ENOSPC
-            with open(self.journal_path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
+            append_jsonl(self.journal_path, record, fsync=True)
         except OSError:
             self.write_errors += 1
             self.read_only = True
@@ -217,19 +214,8 @@ class JobQueue:
         return True
 
     def _replay(self) -> None:
-        try:
-            with open(self.journal_path, encoding="utf-8") as handle:
-                lines = handle.readlines()
-        except OSError:
-            return
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue  # torn tail from a killed server
+        records, _ = read_jsonl(self.journal_path)
+        for record in records:
             self._apply(record)
         # Jobs that were running when the server died: their workers
         # can no longer report back, so put them back in line.

@@ -57,13 +57,12 @@ Overload and failure degrade, never corrupt (``docs/RESILIENCE.md``):
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
 import time
 from collections import OrderedDict
 from typing import Optional
 
+from repro._jsonfile import write_json_atomic
 from repro.core.result import SimResult
 from repro.obs.heartbeat import heartbeat_dir
 from repro.obs.metrics import Histogram
@@ -612,12 +611,8 @@ class ServiceServer(TelemetryServer):
         directory = heartbeat_dir(self.data_dir)
         try:
             os.makedirs(directory, exist_ok=True)
-            path = os.path.join(directory, f"hb-{index}.json")
-            fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".hb-",
-                                            suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(record, handle, sort_keys=True)
-            os.replace(tmp_path, path)
+            write_json_atomic(os.path.join(directory, f"hb-{index}.json"),
+                              record)
         except OSError:
             pass  # a sick disk degrades observability, not scheduling
         return 200, {"renewed": renewed}

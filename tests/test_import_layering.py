@@ -55,6 +55,11 @@ def test_service_processes_load_no_simulator_or_client(module):
                            "repro.service.client") == []
 
 
+def test_jsonfile_is_a_leaf():
+    modules = loaded_after("import repro._jsonfile")
+    assert modules - loaded_after("import repro") == {"repro._jsonfile"}
+
+
 def test_cli_help_loads_no_engine():
     modules = loaded_after(
         "import runpy, sys\n"

@@ -111,6 +111,19 @@ class TestRegistryExport:
         assert samples["repro_latency_sum"] == [("", 5.0)]
 
 
+def damaged_journal(directory, runs=1):
+    """A telemetry directory whose journal holds ``runs`` runs of two
+    jobs, a blank line after the first record and a torn tail."""
+    for _ in range(runs):
+        ExperimentEngine(jobs=1, telemetry=str(directory)).run(make_jobs())
+    path = directory / "events.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines.insert(1, "\n")
+    lines.append('{"event": "job", "index": 0, "status": "re')
+    path.write_text("".join(lines), encoding="utf-8")
+    return str(directory)
+
+
 def serve_engine(**engine_kwargs):
     engine = ExperimentEngine(jobs=1, serve=0, **engine_kwargs)
     assert engine.server is not None, "ephemeral-port server must start"
@@ -181,6 +194,12 @@ class TestTelemetryServer:
         finally:
             engine.close()
 
+    def test_runs_skip_torn_and_blank_journal_lines(self, tmp_path):
+        directory = damaged_journal(tmp_path / "t", runs=2)
+        runs = TelemetryServer(telemetry_dir=directory).runs()["runs"]
+        assert [run["status"] for run in runs] == ["complete", "complete"]
+        assert [run["executed"] for run in runs] == [2, 0]
+
     def test_unknown_endpoint_404s(self, tmp_path):
         engine = serve_engine(telemetry=str(tmp_path / "t"))
         try:
@@ -242,6 +261,15 @@ class TestReproTop:
         assert "executed" in rendered
         assert "jobs 2/2 done" in rendered
         assert "\x1b[" not in rendered, "non-TTY output must be plain"
+
+    def test_dir_snapshot_skips_torn_and_blank_journal_lines(self,
+                                                            tmp_path):
+        from repro.obs.top import read_dir_state
+
+        state = read_dir_state(damaged_journal(tmp_path / "t"))
+        assert state["status"] == "complete"
+        assert [job["status"] for job in state["jobs"]] == ["executed"] * 2
+        assert [job["retries"] for job in state["jobs"]] == [0, 0]
 
     def test_url_snapshot_renders_table(self, tmp_path):
         from repro.obs.top import run_top

@@ -204,6 +204,19 @@ class TestWorkerProtocol:
         assert record["cycles"] == 500 and record["worker"] == "w1"
         assert "ts" in record  # stamped with the *server's* clock
 
+    def test_failed_heartbeat_write_leaves_no_temp_file(self, server,
+                                                         monkeypatch):
+        def refuse(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        status, ack = post(server.url, "/heartbeat", {
+            "index": 4, "cycles": 500, "schema": 1, "pid": 12345,
+        })
+        assert status == 200 and ack == {"renewed": False}
+        directory = os.path.join(server.data_dir, "heartbeats")
+        assert os.listdir(directory) == []
+
     def test_heartbeat_interval_window_reaches_metrics(self, server):
         # A worker running with an interval recorder rides its last
         # window on the heartbeat; the service re-exports it as
