@@ -262,7 +262,7 @@ class ResultCache:
         try:
             os.makedirs(self.version_dir, exist_ok=True)
             write_json_atomic(self.layout_path,
-                               {"shards": self.shards, "created": time.time()})
+                              {"shards": self.shards, "created": time.time()})
         except OSError:
             pass
 
