@@ -1138,19 +1138,16 @@ def _cmd_spans(args) -> int:
 
     source = args.source
     if source.startswith(("http://", "https://")):
-        import urllib.request
+        from repro._http import ServiceUnavailable, get_json
 
         try:
-            with urllib.request.urlopen(
-                f"{source.rstrip('/')}/spans", timeout=10.0
-            ) as response:
-                document = json.load(response)
-            spans = [record for record in document.get("spans", [])
-                     if isinstance(record, dict)]
-        except (OSError, ValueError) as error:
+            document = get_json(f"{source.rstrip('/')}/spans", timeout=10.0)
+        except ServiceUnavailable as error:
             print(f"error: cannot fetch spans from {source} ({error})",
                   file=sys.stderr)
             return 1
+        spans = [record for record in document.get("spans", [])
+                 if isinstance(record, dict)]
     else:
         spans = read_spans(source)
     if args.trace:

@@ -20,11 +20,11 @@ as the engine's progress printer.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from typing import Dict, List, Optional
 
+from repro._http import ServiceUnavailable, get_json
 from repro._jsonfile import read_jsonl
 from repro.obs.heartbeat import HeartbeatMonitor, heartbeat_dir
 from repro.runtime.observe import stream_is_tty
@@ -64,14 +64,13 @@ def is_url(source: str) -> bool:
 
 
 def fetch_url_state(url: str, timeout: float = 5.0) -> dict:
-    """Fetch the ``/jobs`` document from a telemetry server."""
-    import urllib.request
-
+    """Fetch the ``/jobs`` document from a telemetry server; raises
+    :class:`~repro._http.ServiceUnavailable` on an error status or a
+    reply that is not a JSON object."""
     url = url.rstrip("/")
     if not url.endswith("/jobs"):
         url += "/jobs"
-    with urllib.request.urlopen(url, timeout=timeout) as response:
-        document = json.load(response)
+    document = get_json(url, timeout=timeout)
     document["source"] = url
     return document
 
@@ -367,7 +366,6 @@ def run_top(
     colors only when ``stream`` is a TTY.  ``max_refreshes`` bounds the
     loop for tests.
     """
-    import http.client
     import sys
 
     stream = stream if stream is not None else sys.stdout
@@ -375,24 +373,14 @@ def run_top(
         ansi = stream_is_tty(stream)
     refreshes = 0
     trends: Dict[int, List[float]] = {}
-    #: Errors a flaky or shut-down server surfaces mid-scrape: refused
-    #: or reset connections (OSError covers urllib's URLError), a
-    #: half-closed socket mid-response (BadStatusLine & friends), or a
-    #: torn JSON body from a server killed mid-write.
-    url_errors = (OSError, ValueError, http.client.HTTPException)
     while True:
         try:
             document = load_state(source, stale_after=stale_after)
-        except url_errors as error:
-            if not is_url(source):
-                # Directory sources never get here in practice — the
-                # reader tolerates missing/torn files — so a raising
-                # directory is a real usage error.
-                print(f"repro top: cannot read {source}: {error}",
-                      file=sys.stderr)
-                return 1
-            # A server mid-restart (or a network blip) deserves a few
-            # retries before we conclude anything.
+        except ServiceUnavailable as error:
+            # Only a URL source raises (the directory reader tolerates
+            # missing and torn files).  A server mid-restart (or a
+            # network blip) deserves a few retries before we conclude
+            # anything.
             document = None
             delay = URL_BACKOFF
             for _ in range(URL_RETRIES):
@@ -401,7 +389,7 @@ def run_top(
                 try:
                     document = load_state(source, stale_after=stale_after)
                     break
-                except url_errors as retry_error:
+                except ServiceUnavailable as retry_error:
                     error = retry_error
             if document is None:
                 if refreshes:

@@ -68,6 +68,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro._http import ServiceUnavailable, get_json
 from repro._jsonfile import read_json, write_json_atomic
 from repro.core.result import SimResult
 from repro.runtime.job import JOB_SCHEMA_VERSION, SimJob
@@ -356,6 +357,13 @@ class ResultCache:
         self._touch(path)
         self._count("hits", shard)
         return payload
+
+    def holds(self, job: SimJob) -> bool:
+        """Whether ``job``'s shard holds a valid entry for it; counts no
+        lookup and never asks the remote tier."""
+        return (self.enabled and job.cacheable
+                and self._read_entry(self.path_for(job),
+                                     self.shard_index(job.key)) is not None)
 
     def _raw(self, key: str) -> Optional[dict]:
         """Re-read a just-migrated entry without recounting."""
@@ -718,20 +726,14 @@ def fetch_remote_entry(url: str, key: str,
                        timeout: float = REMOTE_TIMEOUT) -> Optional[dict]:
     """One ``GET <url>/cache/<key>`` round trip; ``None`` on any trouble.
 
-    Kept free of :mod:`repro.service` imports so the runtime layer never
-    depends on the service package (the service depends on the runtime).
+    Goes through the stdlib-only leaf :mod:`repro._http`, so the
+    runtime layer never depends on the service package (the service
+    depends on the runtime).
     """
-    import urllib.error
-    import urllib.request
-
     try:
-        request = urllib.request.Request(
-            f"{url.rstrip('/')}/cache/{key}",
-            headers={"Accept": "application/json"},
-        )
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            payload = json.load(response)
-    except Exception:
+        return get_json(f"{url.rstrip('/')}/cache/{key}",
+                        headers={"Accept": "application/json"},
+                        timeout=timeout)
+    except ServiceUnavailable:
         return None
-    return payload if isinstance(payload, dict) else None
 

@@ -524,8 +524,10 @@ class ExperimentEngine:
         except Exception:
             return None  # malformed journal payload: re-execute
         # Warm the cache so the *next* resume (or plain re-run) hits it
-        # even if this run's journal is lost.
-        self.cache.store(job, result)
+        # even if this run's journal is lost; a cell it already holds
+        # is not stored again.
+        if not self.cache.holds(job):
+            self.cache.store(job, result)
         return result
 
     # ------------------------------------------------------------------

@@ -39,15 +39,16 @@ cache sharding/eviction design.
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro._http": ("ServiceUnavailable",),
     "repro.service.chaos": ("ChaosReport", "run_chaos_soak"),
     "repro.service.client": (
         "JobRejected", "RemoteJobFailed", "fetch_results", "latency_breakdown",
-        "queue_snapshot", "render_latency", "submit_jobs",
+        "render_latency", "submit_jobs",
     ),
     "repro.service.queue": (
         "DEFAULT_LEASE_SECONDS", "JobQueue", "QueueEntry", "QueueReadOnly",
     ),
     "repro.service.server": ("SERVICE_API_VERSION", "ServiceServer"),
     "repro.service.transport": ("ServiceTransport",),
-    "repro.service.worker": ("ServiceUnavailable", "WorkerAgent"),
+    "repro.service.worker": ("WorkerAgent",),
 })

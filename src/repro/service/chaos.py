@@ -39,6 +39,12 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro._http import (
+    ServiceUnavailable,
+    get_json,
+    json_round_trip,
+    round_trip,
+)
 from repro._jsonfile import TEMP_PREFIX
 from repro.resilience.chaosproxy import ChaosProxy
 from repro.resilience.faults import FaultPlan, FaultSpec
@@ -188,25 +194,11 @@ class _Fleet:
         return leaked
 
 
-def _one_shot_post(url: str, path: str, document: dict):
-    """A deliberately dumb POST (no retries) for the shed phase."""
-    from repro.service.worker import _post_json
-    return _post_json(url, path, document)
-
-
-def _get_direct(url: str, path: str) -> Optional[dict]:
-    from repro.service.client import _get_json
-    return _get_json(url, path, timeout=5.0)
-
-
 def _wait_healthy(url: str, timeout: float = SERVER_START_TIMEOUT) -> bool:
-    from repro.service.worker import ServiceUnavailable
-
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         try:
-            document = _get_direct(url, "/healthz")
-            if document and document.get("status") == "ok":
+            if get_json(f"{url}/healthz", timeout=5.0).get("status") == "ok":
                 return True
         except ServiceUnavailable:
             pass
@@ -238,7 +230,6 @@ def run_chaos_soak(
         fetch_results,
         submit_jobs,
     )
-    from repro.service.worker import ServiceUnavailable
 
     def log(message: str) -> None:
         if stream is not None:
@@ -324,10 +315,10 @@ def run_chaos_soak(
         for job in jobs:
             payload = dict(job.canonical())
             try:
-                response = _one_shot_post(server_url, "/jobs", payload)
+                status, _, response = json_round_trip(
+                    f"{server_url}/jobs", payload)
             except ServiceUnavailable:
                 continue
-            status = response.get("status")
             if status == 429:
                 shed_seen += 1
             elif "error" not in response:
@@ -383,7 +374,7 @@ def run_chaos_soak(
         worker_kills = 0
         while time.monotonic() < soak_deadline:
             try:
-                snapshot = _get_direct(server_url, "/queue") or {}
+                snapshot = get_json(f"{server_url}/queue", timeout=5.0)
             except ServiceUnavailable:
                 snapshot = {}
             counts = snapshot.get("counts") or {}
@@ -471,11 +462,11 @@ def run_chaos_soak(
                      f"{counters['faults']}")
         metrics = ""
         try:
-            import urllib.request
-            with urllib.request.urlopen(f"{proxy.url}/metrics",
-                                        timeout=5.0) as response:
-                metrics = response.read().decode("utf-8")
-        except OSError:
+            status, _, body = round_trip(f"{proxy.url}/metrics",
+                                         timeout=5.0)
+            if status == 200:
+                metrics = body.decode("utf-8")
+        except ServiceUnavailable:
             pass
         for family in ("repro_service_shed_total",
                        "repro_service_request_replays",

@@ -23,23 +23,16 @@ a traceback.
 
 from __future__ import annotations
 
-import json
 import time
-import urllib.error
-import urllib.request
 from typing import Dict, List, Optional, Sequence
 
+from repro._http import ServiceUnavailable, json_round_trip
 from repro.core.result import SimResult
 from repro.obs.manifest import new_run_id
 from repro.obs.spans import SpanRecorder, TraceContext
 from repro.runtime.job import SimJob
 from repro.runtime.settings import resolve_trace_dir
 from repro.service.transport import ServiceTransport
-from repro.service.worker import (
-    REQUEST_TIMEOUT,
-    ServiceUnavailable,
-    _post_json,
-)
 
 #: Default seconds between result polls.
 DEFAULT_FETCH_INTERVAL = 0.5
@@ -57,8 +50,8 @@ def _ship_spans(url: str, recorder: SpanRecorder) -> None:
     if not records:
         return
     try:
-        _post_json(url, "/spans", {"spans": records, "worker": "client"},
-                   timeout=5.0)
+        json_round_trip(f"{url.rstrip('/')}/spans",
+                        {"spans": records, "worker": "client"}, timeout=5.0)
     except ServiceUnavailable:
         pass
 
@@ -69,23 +62,6 @@ class JobRejected(ValueError):
 
 class RemoteJobFailed(RuntimeError):
     """A job reached the ``failed`` state on the service."""
-
-
-def _get_json(url: str, path: str,
-              timeout: float = REQUEST_TIMEOUT) -> Optional[dict]:
-    """One GET round trip; ``None`` on 404, raises on connection loss."""
-    try:
-        with urllib.request.urlopen(
-            f"{url.rstrip('/')}{path}", timeout=timeout
-        ) as response:
-            payload = json.load(response)
-    except urllib.error.HTTPError as error:
-        if error.code == 404:
-            return None
-        raise ServiceUnavailable(f"{path}: HTTP {error.code}") from None
-    except (OSError, ValueError) as error:
-        raise ServiceUnavailable(f"{path}: {error}") from None
-    return payload if isinstance(payload, dict) else None
 
 
 def submit_jobs(url: str, jobs: Sequence[SimJob],
@@ -237,14 +213,6 @@ def _fetch_span(recorder: SpanRecorder, document: dict, key: str,
                   state=document.get("state"))
 
 
-def queue_snapshot(url: str) -> dict:
-    """The service's ``GET /queue`` document."""
-    document = _get_json(url, "/queue")
-    if document is None:
-        raise ServiceUnavailable("/queue: not found")
-    return document
-
-
 def latency_breakdown(url: str, jobs: Sequence[SimJob]) -> Optional[dict]:
     """Mean per-segment latency (seconds) across ``jobs``.
 
@@ -260,10 +228,15 @@ def latency_breakdown(url: str, jobs: Sequence[SimJob]) -> Optional[dict]:
     totals: List[float] = []
     for job in jobs:
         try:
-            document = _get_json(url, f"/jobs/{job.key}")
+            status, _, document = json_round_trip(
+                f"{url.rstrip('/')}/jobs/{job.key}")
         except ServiceUnavailable:
             return None
-        times = (document or {}).get("times") or {}
+        if status == 404:
+            continue  # not on this service (evicted, or never queued)
+        if status >= 400:
+            return None
+        times = document.get("times") or {}
         stamps = [times.get(name)
                   for name in ("submitted", "claimed", "finished")]
         if not all(isinstance(value, (int, float)) for value in stamps):

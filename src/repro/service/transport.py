@@ -1,8 +1,8 @@
 """Hardened HTTP transport shared by service clients and workers.
 
-:class:`ServiceTransport` wraps the one-shot helpers in
-:mod:`repro.service.worker` with the retry discipline the chaos suite
-demands (see ``docs/RESILIENCE.md``):
+:class:`ServiceTransport` wraps the one round trip of
+:mod:`repro._http` in the retry discipline the chaos suite demands
+(see ``docs/RESILIENCE.md``):
 
 * **Idempotent retries keyed on ``X-Repro-Request-Id``.**  One logical
   operation mints one request id and reuses it across every retry; the
@@ -26,28 +26,21 @@ demands (see ``docs/RESILIENCE.md``):
   client has already given up on (a claim leased to a dead client
   would just burn a lease timeout).
 
-Errors collapse to the existing :class:`ServiceUnavailable` once the
-bounded budget is spent, so every current caller's error handling keeps
-working.  Torn responses (``http.truncate_body``) surface as
-``http.client.IncompleteRead`` — an ``HTTPException``, *not* an
-``OSError`` — which this transport classifies as a connection failure.
+Errors collapse to :class:`~repro._http.ServiceUnavailable` once the
+bounded budget is spent.  The leaf raises it for every connection-level
+fault, torn responses (``http.truncate_body``) and non-object replies
+included; this transport retries it as connection loss when the request
+is idempotent.
 """
 
 from __future__ import annotations
 
-import http.client
-import json
-import socket
 import time
-import urllib.error
-import urllib.request
 import uuid
 from typing import Dict, Optional
 
+from repro._http import REQUEST_TIMEOUT, ServiceUnavailable, json_round_trip
 from repro.resilience.retry import CircuitBreaker, deterministic_jitter
-
-#: Seconds allowed for one HTTP round trip (mirrors the worker module).
-REQUEST_TIMEOUT = 10.0
 
 #: Default retry budget per logical request.
 DEFAULT_RETRIES = 4
@@ -59,26 +52,10 @@ DEFAULT_BACKOFF = 0.25
 #: hostile header must not park a worker for minutes.
 MAX_RETRY_AFTER = 5.0
 
-#: Errors treated as "the connection failed mid-flight": safe to retry
-#: when the request is idempotent.  ``HTTPException`` covers
-#: ``IncompleteRead`` / ``RemoteDisconnected`` from torn responses.
-_CONNECTION_ERRORS = (OSError, socket.timeout, http.client.HTTPException,
-                      ValueError)
-
-
-def _canonical_unavailable():
-    """The worker module's :class:`ServiceUnavailable` (lazy import —
-    the worker module imports this one for :class:`ServiceTransport`)."""
-    from repro.service.worker import ServiceUnavailable as canonical
-    return canonical
-
-
-def _retry_after_seconds(error: urllib.error.HTTPError,
-                         fallback: float) -> float:
+def _retry_after_seconds(headers, fallback: float) -> float:
     """The server's ``Retry-After`` (seconds form), bounded sane."""
-    raw = error.headers.get("Retry-After") if error.headers else None
     try:
-        seconds = float(raw)
+        seconds = float(headers.get("Retry-After"))
     except (TypeError, ValueError):
         return fallback
     return min(max(0.0, seconds), MAX_RETRY_AFTER)
@@ -144,40 +121,37 @@ class ServiceTransport:
         """POST with bounded retries; the full hardening stack applies.
 
         Returns the response document (error documents carry a
-        ``status`` field, like the one-shot helper); raises
-        :class:`ServiceUnavailable` once the retry budget is spent.
+        ``status`` field); raises :class:`ServiceUnavailable` once the
+        retry budget is spent.
         """
-        body = json.dumps(document, sort_keys=True).encode("utf-8")
-        merged = {"Content-Type": "application/json",
-                  "X-Repro-Request-Id": uuid.uuid4().hex[:16]}
+        merged = {"X-Repro-Request-Id": uuid.uuid4().hex[:16]}
         if headers:
             merged.update(headers)
         if deadline is not None:
             merged["X-Repro-Deadline"] = f"{deadline:.3f}"
-        return self._round_trips("POST", path, body, merged, timeout,
+        return self._round_trips(path, document, merged, timeout,
                                  idempotent, deadline)
 
     def get_json(self, path: str, timeout: float = REQUEST_TIMEOUT,
                  deadline: Optional[float] = None) -> Optional[dict]:
         """GET with the same retry/breaker stack; ``None`` on 404."""
         headers = {"X-Repro-Request-Id": uuid.uuid4().hex[:16]}
-        payload = self._round_trips("GET", path, None, headers, timeout,
-                                    True, deadline)
-        if isinstance(payload, dict) and payload.get("status") == 404:
+        payload = self._round_trips(path, None, headers, timeout, True,
+                                    deadline)
+        if payload.get("status") == 404:
             return None
         return payload
 
     # ------------------------------------------------------------------
-    def _round_trips(self, method: str, path: str, body, headers: dict,
-                     timeout: float, idempotent: bool,
+    def _round_trips(self, path: str, document: Optional[dict],
+                     headers: dict, timeout: float, idempotent: bool,
                      deadline: Optional[float]) -> dict:
-        unavailable = _canonical_unavailable()
         gate = self.breaker(path)
         last_error: Optional[str] = None
         for attempt in range(self.retries + 1):
             if deadline is not None and time.time() >= deadline:
                 self.deadline_expired += 1
-                raise unavailable(f"{path}: deadline exceeded")
+                raise ServiceUnavailable(f"{path}: deadline exceeded")
             if not gate.allow():
                 self.breaker_rejections += 1
                 last_error = "circuit open"
@@ -185,68 +159,44 @@ class ServiceTransport:
                 continue
             self.attempts += 1
             try:
-                status, payload = self._once(method, path, body, headers,
-                                             timeout)
-            except urllib.error.HTTPError as error:
-                status = error.code
-                payload = self._error_payload(error)
-                if status == 429:
-                    # Load shedding: the server is healthy and told us
-                    # when to come back.  Not a breaker failure.
-                    gate.record_success()
-                    self.rate_limited += 1
-                    if attempt == self.retries:
-                        raise unavailable(
-                            f"{path}: still shedding (HTTP 429) after "
-                            f"{self.retries + 1} attempts") from None
-                    self.retried += 1
-                    self._sleep(_retry_after_seconds(error, self.backoff))
-                    continue
-                if status >= 500:
-                    gate.record_failure()
-                    last_error = f"HTTP {status}"
-                    if attempt == self.retries:
-                        raise unavailable(
-                            f"{path}: HTTP {status} after "
-                            f"{self.retries + 1} attempts") from None
-                    self.retried += 1
-                    self._pause(path, attempt)
-                    continue
-                # Plain 4xx: a real answer, not an outage.
-                gate.record_success()
-                return payload
-            except _CONNECTION_ERRORS as error:
+                status, reply_headers, payload = json_round_trip(
+                    f"{self.url}{path}", document, headers, timeout)
+            except ServiceUnavailable as error:
                 gate.record_failure()
-                last_error = f"{type(error).__name__}: {error}"
+                last_error = str(error)
                 if not idempotent or attempt == self.retries:
-                    raise unavailable(f"{path}: {last_error}") from None
+                    raise ServiceUnavailable(f"{path}: {last_error}") from None
                 self.retried += 1
                 self._pause(path, attempt)
                 continue
+            if status == 429:
+                # Load shedding: the server is healthy and told us
+                # when to come back.  Not a breaker failure.
+                gate.record_success()
+                self.rate_limited += 1
+                if attempt == self.retries:
+                    raise ServiceUnavailable(
+                        f"{path}: still shedding (HTTP 429) after "
+                        f"{self.retries + 1} attempts")
+                self.retried += 1
+                self._sleep(_retry_after_seconds(reply_headers,
+                                                 self.backoff))
+                continue
+            if status >= 500:
+                gate.record_failure()
+                last_error = f"HTTP {status}"
+                if attempt == self.retries:
+                    raise ServiceUnavailable(
+                        f"{path}: HTTP {status} after "
+                        f"{self.retries + 1} attempts")
+                self.retried += 1
+                self._pause(path, attempt)
+                continue
+            # Success, or a plain 4xx: a real answer, not an outage.
             gate.record_success()
             return payload
-        raise unavailable(f"{path}: {last_error or 'retry budget spent'}")
-
-    def _once(self, method: str, path: str, body, headers: dict,
-              timeout: float):
-        request = urllib.request.Request(
-            f"{self.url}{path}", data=body, headers=headers, method=method)
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            payload = json.load(response)
-        if not isinstance(payload, dict):
-            raise ValueError("non-object response")
-        return response.status, payload
-
-    @staticmethod
-    def _error_payload(error: urllib.error.HTTPError) -> dict:
-        try:
-            payload = json.load(error)
-        except Exception:
-            payload = {"error": str(error)}
-        if not isinstance(payload, dict):
-            payload = {"error": str(error)}
-        payload.setdefault("status", error.code)
-        return payload
+        raise ServiceUnavailable(
+            f"{path}: {last_error or 'retry budget spent'}")
 
     def _pause(self, path: str, attempt: int, floor: float = 0.0) -> None:
         base = self.backoff * (2 ** attempt)

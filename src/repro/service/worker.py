@@ -53,16 +53,13 @@ lease-expiry path covers true worker death.
 
 from __future__ import annotations
 
-import http.client
-import json
 import os
 import socket
 import sys
 import time
-import urllib.error
-import urllib.request
 from typing import Optional
 
+from repro._http import REQUEST_TIMEOUT, ServiceUnavailable, json_round_trip
 from repro.obs.heartbeat import HEARTBEAT_SCHEMA_VERSION
 from repro.obs.spans import SpanRecorder, TraceContext
 from repro.runtime.cache import ResultCache, flush_persistent_stats
@@ -75,48 +72,6 @@ DEFAULT_POLL_INTERVAL = 1.0
 #: Claim-connection retry schedule: attempts and backoff base seconds.
 CONNECT_RETRIES = 4
 CONNECT_BACKOFF = 0.25
-
-#: Seconds allowed for one worker-protocol HTTP round trip.
-REQUEST_TIMEOUT = 10.0
-
-
-class ServiceUnavailable(OSError):
-    """The service endpoint cannot be reached (or returned junk)."""
-
-
-def _post_json(url: str, path: str, document: dict,
-               timeout: float = REQUEST_TIMEOUT,
-               headers: Optional[dict] = None) -> dict:
-    """One POST round trip; raises :class:`ServiceUnavailable` on trouble."""
-    body = json.dumps(document, sort_keys=True).encode("utf-8")
-    merged = {"Content-Type": "application/json"}
-    if headers:
-        merged.update(headers)
-    request = urllib.request.Request(
-        f"{url.rstrip('/')}{path}",
-        data=body,
-        headers=merged,
-        method="POST",
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            payload = json.load(response)
-    except urllib.error.HTTPError as error:
-        # The server answered: surface its error document.
-        try:
-            payload = json.load(error)
-        except Exception:
-            payload = {"error": str(error)}
-        payload.setdefault("status", error.code)
-        return payload
-    except (OSError, socket.timeout, http.client.HTTPException,
-            ValueError) as error:
-        # HTTPException covers IncompleteRead/RemoteDisconnected from
-        # torn responses — NOT OSError subclasses, easy to let escape.
-        raise ServiceUnavailable(f"{path}: {error}") from None
-    if not isinstance(payload, dict):
-        raise ServiceUnavailable(f"{path}: non-object response")
-    return payload
 
 
 class WorkerAgent:
@@ -370,9 +325,9 @@ class WorkerAgent:
         if not records:
             return
         try:
-            _post_json(self.url, "/spans",
-                       {"spans": records, "worker": self.name},
-                       timeout=5.0)
+            json_round_trip(f"{self.url}/spans",
+                            {"spans": records, "worker": self.name},
+                            timeout=5.0)
         except ServiceUnavailable:
             self.span_ship_errors += 1
 
@@ -402,7 +357,8 @@ class WorkerAgent:
                 if window is not None:
                     record["interval"] = window
             try:
-                _post_json(self.url, "/heartbeat", record, timeout=5.0)
+                json_round_trip(f"{self.url}/heartbeat", record,
+                                timeout=5.0)
                 self.heartbeats += 1
             except Exception as error:
                 # Beats are best-effort: ANY failure — connection loss,

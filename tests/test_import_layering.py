@@ -60,6 +60,17 @@ def test_jsonfile_is_a_leaf():
     assert modules - loaded_after("import repro") == {"repro._jsonfile"}
 
 
+def test_http_is_a_leaf():
+    modules = loaded_after("import repro._http")
+    assert modules - loaded_after("import repro") == {"repro._http"}
+
+
+@pytest.mark.parametrize("module", ["repro.runtime.cache", "repro.obs.top"])
+def test_remote_cache_and_top_load_no_service_module(module):
+    modules = loaded_after(f"import {module}")
+    assert loaded_prefixes(modules, "repro.service") == []
+
+
 def test_cli_help_loads_no_engine():
     modules = loaded_after(
         "import runpy, sys\n"

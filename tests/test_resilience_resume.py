@@ -19,7 +19,12 @@ import pytest
 from repro.assign.base import StrategySpec
 from repro.cluster.config import MachineConfig
 from repro.resilience import load_resume_state
-from repro.runtime import ExperimentEngine, RunInterrupted, SimJob
+from repro.runtime import (
+    ExperimentEngine,
+    ResultCache,
+    RunInterrupted,
+    SimJob,
+)
 from repro.runtime import settings
 
 TINY = dict(instructions=400, warmup=200)
@@ -114,6 +119,32 @@ class TestInProcessInterruptAndResume:
         engine.run(make_jobs(("gzip", "bzip2")))
         assert engine.report.resumed == 2
         assert engine.report.executed == 2
+
+
+    def test_resume_over_a_cached_journal_stores_nothing(self, tmp_path):
+        # The cache already holds every replayed cell: re-storing them
+        # would rewrite identical entries.
+        jobs = make_jobs(("gzip",))
+        tel = str(tmp_path / "tel")
+        ExperimentEngine(jobs=1, telemetry=tel).run(jobs)
+        engine = ExperimentEngine(jobs=1, resume=tel)
+        engine.run(jobs)
+        assert engine.report.resumed == len(jobs)
+        assert engine.cache.stats.stores == 0
+
+    def test_resume_into_a_cold_cache_stores_every_replayed_cell(
+            self, tmp_path):
+        jobs = make_jobs(("gzip",))
+        tel = str(tmp_path / "tel")
+        ExperimentEngine(jobs=1, cache=False, telemetry=tel).run(jobs)
+        engine = ExperimentEngine(
+            jobs=1, cache=ResultCache(root=str(tmp_path / "cold")),
+            resume=tel)
+        engine.run(jobs)
+        assert engine.report.resumed == len(jobs)
+        assert engine.cache.stats.stores == len(jobs)
+        for job in jobs:
+            assert os.path.isfile(engine.cache.path_for(job))
 
 
 SWEEP = ("--benchmarks", "gzip,bzip2", "--strategies", "base,fdrt",

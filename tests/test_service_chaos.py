@@ -6,9 +6,12 @@ the CI ``chaos-service`` job); these tests drive every ingredient
 in-process against a real :class:`ServiceServer` socket.
 """
 
+import contextlib
 import json
+import threading
 import urllib.error
 import urllib.request
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -474,3 +477,119 @@ class TestWorkerHeartbeatFailSoft:
         assert agent.heartbeats == 0
         assert stream.getvalue().count("heartbeat failed") == 1
         assert "continuing without heartbeats" in stream.getvalue()
+
+
+# ----------------------------------------------------------------------
+# A bad reply is a clean failure at every client
+
+
+class _StubHandler(BaseHTTPRequestHandler):
+    """Answers every GET and POST with ``200`` and :attr:`body`."""
+
+    body = b"{}"
+
+    def _answer(self):
+        length = int(self.headers.get("Content-Length") or 0)
+        if length:
+            self.rfile.read(length)
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(self.body)))
+        self.end_headers()
+        self.wfile.write(self.body)
+
+    do_GET = do_POST = _answer
+
+    def log_message(self, *args):
+        pass
+
+
+@contextlib.contextmanager
+def stub_server(body: bytes):
+    handler = type("Stub", (_StubHandler,), {"body": body})
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{httpd.server_address[1]}"
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=10)
+
+
+#: A reply every client would accept, had it arrived whole.
+GOOD_REPLY = json.dumps({"spans": [], "jobs": [], "status": "complete",
+                         "times": {}}).encode("utf-8")
+
+
+@pytest.fixture(params=["torn body", "non-object body"])
+def bad_reply_url(request):
+    """A URL whose first reply is torn mid-body (through the proxy),
+    or whose every reply is ``200`` with the body ``[]``."""
+    if request.param == "non-object body":
+        with stub_server(b"[]") as url:
+            yield url
+        return
+    with stub_server(GOOD_REPLY) as upstream:
+        proxy = ChaosProxy(upstream, plan=FaultPlan([FaultSpec(
+            site="http.truncate_body", index=0, attempt=None)]))
+        proxy.start()
+        try:
+            yield proxy.url
+        finally:
+            proxy.stop()
+
+
+def _spans(url, capsys):
+    from repro.cli import main
+
+    assert main(["spans", url]) == 1
+    assert "cannot fetch spans" in capsys.readouterr().err
+
+
+def _top(url, capsys):
+    from repro.cli import main
+
+    # A torn first reply is retried and renders; a non-object reply
+    # ends in "cannot connect".  Either way: an exit code, no raise.
+    assert main(["top", url, "--once", "--no-color"]) in (0, 1)
+
+
+def _latency(url, capsys):
+    from repro.service import latency_breakdown
+
+    assert latency_breakdown(url, [make_job()]) is None
+
+
+def _remote_cache(url, capsys):
+    from repro.runtime.cache import fetch_remote_entry
+
+    assert fetch_remote_entry(url, make_job().key) is None
+
+
+def _heartbeat(url, capsys):
+    import io
+    import types
+
+    from repro.service.worker import WorkerAgent
+
+    agent = WorkerAgent(url, name="w", stream=io.StringIO())
+    beat = agent._heartbeat_hook(make_job(), index=0, attempt=0,
+                                 started=0.0)
+    beat(types.SimpleNamespace(stats=types.SimpleNamespace(
+        cycles=100, retired=80, ipc=0.8)))   # must return normally
+    assert agent.heartbeat_errors == 1
+    assert agent.heartbeats == 0
+
+
+@pytest.mark.parametrize("client", [_spans, _top, _latency, _remote_cache,
+                                    _heartbeat],
+                         ids=["spans", "top", "latency_breakdown",
+                              "fetch_remote_entry", "heartbeat"])
+def test_bad_reply_is_a_clean_failure_at_every_client(
+        client, bad_reply_url, capsys, monkeypatch):
+    import repro.obs.top
+
+    monkeypatch.setattr(repro.obs.top, "URL_BACKOFF", 0.001)
+    client(bad_reply_url, capsys)

@@ -137,6 +137,31 @@ class TestRemoteExecution:
             assert canonical_bytes(a) == canonical_bytes(b)
 
 
+class TestRemoteCacheTier:
+    def test_fresh_cache_reads_a_served_job_as_a_remote_hit(self, server,
+                                                            tmp_path):
+        job, unknown = make_jobs()
+        submit_jobs(server.url, [job])
+        WorkerAgent(server.url, poll_interval=0.05, max_jobs=1,
+                    heartbeat_cycles=0,
+                    cache=ResultCache(root=str(tmp_path / "worker-cache"),
+                                      remote=False)).run()
+        served, = fetch_results(server.url, [job], timeout=30,
+                                poll_interval=0.05)
+
+        cache = ResultCache(root=str(tmp_path / "fresh-cache"),
+                            remote=server.url)
+        hit = cache.load(job)
+        assert canonical_bytes(hit) == canonical_bytes(served)
+        assert cache.stats.remote_hits == 1
+        assert cache.stats.stores == 1
+        assert os.path.isfile(cache.path_for(job))   # copied to its shard
+
+        assert cache.load(unknown) is None
+        assert cache.stats.misses == 1
+        assert cache.stats.remote_errors == 0
+
+
 class TestLeaseRecovery:
     def test_lease_expire_fault_requeues_exactly_once(self, tmp_path):
         service = ServiceServer(
