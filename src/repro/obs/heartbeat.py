@@ -46,6 +46,30 @@ HEARTBEAT_DIRNAME = "heartbeats"
 DEFAULT_BEAT_CYCLES = 2_000
 
 
+#: Every field of a heartbeat record except ``ts``, which is the clock
+#: of whoever stores the record.  The service stores exactly these.
+HEARTBEAT_FIELDS = ("schema", "pid", "index", "key", "label", "attempt",
+                    "beats", "cycles", "retired", "ipc", "elapsed",
+                    "profile", "interval", "worker", "run_id")
+
+
+def heartbeat_record(index: int, key: Optional[str], label: Optional[str],
+                     attempt: int, beats: int, cycles: int, retired: int,
+                     ipc: float, elapsed: float, **optional) -> dict:
+    """One heartbeat record of this process, without ``ts``.
+
+    The ``optional`` fields of :data:`HEARTBEAT_FIELDS` (``profile``,
+    ``interval``, ``worker``, ``run_id``) are kept only when set.
+    """
+    record = {"schema": HEARTBEAT_SCHEMA_VERSION, "pid": os.getpid(),
+              "index": index, "key": key, "label": label,
+              "attempt": attempt, "beats": beats, "cycles": cycles,
+              "retired": retired, "ipc": ipc, "elapsed": elapsed}
+    record.update((field, value) for field, value in optional.items()
+                  if value is not None)
+    return record
+
+
 def heartbeat_dir(telemetry_dir: str) -> str:
     """The heartbeat subdirectory of ``telemetry_dir``."""
     return os.path.join(os.fspath(telemetry_dir), HEARTBEAT_DIRNAME)
@@ -117,24 +141,12 @@ class HeartbeatWriter:
 
     def _write(self, cycles: int, retired: int, ipc: float) -> None:
         now = self._clock()
-        record = {
-            "schema": HEARTBEAT_SCHEMA_VERSION,
-            "pid": os.getpid(),
-            "index": self.index,
-            "key": self.key,
-            "label": self.label,
-            "attempt": self.attempt,
-            "beats": self.beats,
-            "cycles": cycles,
-            "retired": retired,
-            "ipc": ipc,
-            "ts": now,
-            "elapsed": now - self._started,
-        }
-        if self.run_id is not None:
-            record["run_id"] = self.run_id
-        if self.profiler is not None:
-            record["profile"] = dict(self.profiler.seconds)
+        record = heartbeat_record(
+            self.index, self.key, self.label, self.attempt, self.beats,
+            cycles, retired, ipc, now - self._started, run_id=self.run_id,
+            profile=(dict(self.profiler.seconds)
+                     if self.profiler is not None else None))
+        record["ts"] = now
         try:
             write_json_atomic(self.path, record)
         except OSError:

@@ -30,6 +30,23 @@ Endpoints:
 ``/healthz``
     JSON liveness probe (200 + uptime).
 
+**Request path.**  Route table → dispatch → handler → one
+:meth:`~TelemetryServer._respond`.  A server's ``ROUTES`` table is
+data: method, exact path or ``/<key>`` prefix, handler.
+:meth:`~TelemetryServer.dispatch` serves every request of every server
+built on this class.  It normalises the path, mints or adopts the
+request id, counts GETs in ``scrapes``, runs the matching handler,
+answers 404 listing the method's endpoints when nothing matches, puts
+``request_id`` into every ≥400 JSON body, and turns any exception into
+a 500 that never kills the thread.  A POST goes through
+``_answer_post``: a 405 here, the job API's steps in the simulation
+service.  A handler returns ``(status, document[, headers])``; a
+``str`` document is Prometheus text, anything else sorted-key JSON.
+``/healthz`` lists the endpoints a 404 lists, both read off the table.
+:class:`HTTPServerThread` is the one lifecycle (bind without reverse
+DNS, daemon thread, stop) this exporter, the service and the chaos
+proxy share.
+
 The server binds loopback by default; pass ``host="0.0.0.0"`` to
 expose it beyond the machine (the data is read-only but unauthenticated).
 """
@@ -44,7 +61,7 @@ import threading
 import time
 import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro._jsonfile import read_json, read_jsonl
 from repro.obs.heartbeat import HeartbeatMonitor, heartbeat_dir
@@ -67,6 +84,47 @@ class _HTTPServer(ThreadingHTTPServer):
     def server_bind(self) -> None:
         socketserver.TCPServer.server_bind(self)
         self.server_name, self.server_port = self.server_address[:2]
+
+
+class HTTPServerThread:
+    """Bind, serve from a daemon thread, stop: the one lifecycle of the
+    package's HTTP servers.  A subclass sets ``host`` and ``port`` and
+    returns its request-handler class from :meth:`_handler_class`."""
+
+    thread_name = "repro-http-server"
+    _httpd: Optional[_HTTPServer] = None
+    _thread: Optional[threading.Thread] = None
+
+    def _handler_class(self) -> type:
+        raise NotImplementedError
+
+    def start(self) -> str:
+        """Bind and serve from a daemon thread; returns the URL."""
+        self._httpd = _HTTPServer((self.host, self.port),
+                                  self._handler_class())
+        self._httpd.daemon_threads = True
+        self.port = self._httpd.server_address[1]
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever,
+            name=self.thread_name,
+            daemon=True,
+        )
+        self._thread.start()
+        return self.url
+
+    def stop(self) -> None:
+        """Shut the server down and release the port."""
+        if self._httpd is not None:
+            self._httpd.shutdown()
+            self._httpd.server_close()
+            self._httpd = None
+        if self._thread is not None:
+            self._thread.join(timeout=5)
+            self._thread = None
+
+    @property
+    def url(self) -> str:
+        return f"http://{self.host}:{self.port}"
 
 
 def prom_name(name: str) -> str:
@@ -125,6 +183,16 @@ class PrometheusText:
         self._lines.append(
             f"{family}{prom_labels(labels)} {prom_value(value)}")
 
+    def summary(self, name: str, summary: dict, **labels) -> None:
+        """A :meth:`Histogram.summary` as a Prometheus summary: the
+        p50/p95/p99 ``quantile`` samples plus ``_sum`` and ``_count``."""
+        for q_label, q_key in (("0.5", "p50"), ("0.95", "p95"),
+                               ("0.99", "p99")):
+            self.sample(name, "summary", summary[q_key],
+                        quantile=q_label, **labels)
+        self.sample(f"{name}_sum", "gauge", summary["sum"], **labels)
+        self.sample(f"{name}_count", "gauge", summary["count"], **labels)
+
     def render(self) -> str:
         return "\n".join(self._lines) + "\n"
 
@@ -144,14 +212,7 @@ def registry_to_prometheus(registry, text: Optional[PrometheusText] = None,
     for (name, labels), gauge in sorted(registry._gauges.items()):
         text.sample(name, "gauge", gauge.value, **dict(labels))
     for (name, labels), histogram in sorted(registry._histograms.items()):
-        summary = histogram.summary()
-        plain = dict(labels)
-        for q_label, q_key in (("0.5", "p50"), ("0.95", "p95"),
-                               ("0.99", "p99")):
-            text.sample(name, "summary", summary[q_key],
-                        quantile=q_label, **plain)
-        text.sample(f"{name}_sum", "gauge", summary["sum"], **plain)
-        text.sample(f"{name}_count", "gauge", summary["count"], **plain)
+        text.summary(name, histogram.summary(), **dict(labels))
     return text
 
 
@@ -159,7 +220,21 @@ def registry_to_prometheus(registry, text: Optional[PrometheusText] = None,
 JOB_STATES = ("pending", "hit", "executed", "resumed", "failed")
 
 
-class TelemetryServer:
+class Route(NamedTuple):
+    """One row of a route table.
+
+    ``path`` is exact, or a prefix ending in ``/<key>`` that hands the
+    rest of the path to the handler.  ``handler(server, arg)`` returns
+    ``(status, document[, headers])``; ``arg`` is the key of a prefix
+    route, the JSON body of a POST, or else the query string.
+    """
+
+    method: str
+    path: str
+    handler: Callable
+
+
+class TelemetryServer(HTTPServerThread):
     """Serves live run state over HTTP from a background thread.
 
     All sources are optional and read at scrape time:
@@ -173,6 +248,18 @@ class TelemetryServer:
     * ``registry`` — a :class:`MetricsRegistry` merged into
       ``/metrics``.
     """
+
+    thread_name = "repro-telemetry-server"
+
+    #: The route table.  ``/`` answers like ``/healthz`` and is not
+    #: listed among the endpoints.
+    ROUTES: Tuple[Route, ...] = (
+        Route("GET", "/metrics", lambda s, _: (200, s.metrics_text())),
+        Route("GET", "/jobs", lambda s, _: (200, s.state())),
+        Route("GET", "/runs", lambda s, _: (200, s.runs())),
+        Route("GET", "/healthz", lambda s, _: (200, s.healthz())),
+        Route("GET", "/", lambda s, _: (200, s.healthz())),
+    )
 
     def __init__(
         self,
@@ -192,50 +279,11 @@ class TelemetryServer:
         self.port = port
         self.started = time.time()
         self.scrapes = 0
-        self._httpd: Optional[_HTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
 
-    # ------------------------------------------------------------------
-    # Lifecycle.
-    # ------------------------------------------------------------------
-    def start(self) -> str:
-        """Bind and serve from a daemon thread; returns the URL."""
-        server = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def log_message(self, fmt, *args):  # silence per-request spam
-                pass
-
-            def do_GET(self):
-                server.handle(self)
-
-            def do_POST(self):
-                server.handle_post(self)
-
-        self._httpd = _HTTPServer((self.host, self.port), Handler)
-        self._httpd.daemon_threads = True
-        self.port = self._httpd.server_address[1]
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-telemetry-server",
-            daemon=True,
-        )
-        self._thread.start()
-        return self.url
-
-    def stop(self) -> None:
-        """Shut the server down and release the port."""
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
+    def endpoints(self, method: str) -> List[str]:
+        """The listed paths of ``method``'s routes, in table order."""
+        return [route.path for route in self.ROUTES
+                if route.method == method and route.path != "/"]
 
     # ------------------------------------------------------------------
     # Source resolution.
@@ -341,18 +389,27 @@ class TelemetryServer:
             "status": "ok",
             "uptime_seconds": time.time() - self.started,
             "scrapes": self.scrapes,
-            "endpoints": ["/metrics", "/jobs", "/runs", "/healthz"],
+            "endpoints": self.endpoints("GET"),
         }
 
     # ------------------------------------------------------------------
     # /metrics rendering.
     # ------------------------------------------------------------------
     def metrics_text(self) -> str:
+        """Exporter preamble, the fronted sources' families,
+        heartbeats, then the attached registry."""
         text = PrometheusText()
         text.sample("exporter.uptime_seconds", "gauge",
                     time.time() - self.started)
         text.sample("exporter.scrapes", "counter", self.scrapes)
+        self._source_metrics(text)
+        self._heartbeat_metrics(text)
+        if self.registry is not None:
+            registry_to_prometheus(self.registry, text)
+        return text.render()
 
+    def _source_metrics(self, text: PrometheusText) -> None:
+        """The families of what this server fronts: engine and cache."""
         report = getattr(self.engine, "report", None)
         if report is not None:
             self._engine_metrics(text, report)
@@ -363,10 +420,6 @@ class TelemetryServer:
                 text.sample(f"cache.{field}", "counter",
                             getattr(stats, field))
             text.sample("cache.hit_rate", "gauge", stats.hit_rate)
-        self._heartbeat_metrics(text)
-        if self.registry is not None:
-            registry_to_prometheus(self.registry, text)
-        return text.render()
 
     def _engine_metrics(self, text: PrometheusText, report) -> None:
         for field in ("total", "cache_hits", "executed", "retried",
@@ -385,16 +438,8 @@ class TelemetryServer:
             states[status] = states.get(status, 0) + 1
         for state, count in sorted(states.items()):
             text.sample("engine.job_state", "gauge", count, state=state)
-        seconds = getattr(report, "job_seconds", None)
-        if seconds:
-            summary = report.job_seconds_summary()
-            for q_label, q_key in (("0.5", "p50"), ("0.95", "p95"),
-                                   ("0.99", "p99")):
-                text.sample("engine.job_seconds", "summary",
-                            summary[q_key], quantile=q_label)
-            text.sample("engine.job_seconds_sum", "gauge", summary["sum"])
-            text.sample("engine.job_seconds_count", "gauge",
-                        summary["count"])
+        if getattr(report, "job_seconds", None):
+            text.summary("engine.job_seconds", report.job_seconds_summary())
 
     def _heartbeat_metrics(self, text: PrometheusText) -> None:
         monitor = self._monitor()
@@ -445,82 +490,78 @@ class TelemetryServer:
                             phase=phase)
 
     # ------------------------------------------------------------------
-    # Request plumbing.
+    # Request path: route table -> dispatch -> handler -> _respond.
     # ------------------------------------------------------------------
+    def _handler_class(self) -> type:
+        server = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def log_message(self, fmt, *args):  # silence per-request spam
+                pass
+
+            def do_GET(self):
+                server.dispatch(self, "GET")
+
+            def do_POST(self):
+                server.dispatch(self, "POST")
+
+        return Handler
+
     @staticmethod
     def _request_id(request) -> str:
-        """The per-request correlation id, minted on first use.
+        """The per-request correlation id.
 
         A client-supplied ``X-Repro-Request-Id`` header is adopted
         verbatim (truncated sane), so a retried request keeps one id
         end-to-end — the service layer keys its idempotent-replay cache
         on exactly this.  Stamped onto every response as
-        ``X-Repro-Request-Id`` (see :meth:`_respond`) and echoed in
-        4xx/5xx JSON bodies so a client-side error pairs with the
-        server's view of the request.
+        ``X-Repro-Request-Id`` and echoed in 4xx/5xx JSON bodies so a
+        client-side error pairs with the server's view of the request.
         """
-        rid = getattr(request, "repro_request_id", None)
-        if rid is None:
-            inbound = request.headers.get("X-Repro-Request-Id")
-            if inbound:
-                rid = "".join(ch for ch in inbound if ch.isalnum())[:64]
-            rid = rid or uuid.uuid4().hex[:16]
-            request.repro_request_id = rid
-        return rid
+        inbound = request.headers.get("X-Repro-Request-Id") or ""
+        return ("".join(ch for ch in inbound if ch.isalnum())[:64]
+                or uuid.uuid4().hex[:16])
 
-    def handle(self, request: BaseHTTPRequestHandler) -> None:
-        """Route one GET; never lets an exception kill the thread."""
-        path = request.path.split("?", 1)[0].rstrip("/") or "/"
+    def dispatch(self, request: BaseHTTPRequestHandler,
+                 method: str) -> None:
+        """Answer one request; never lets an exception kill the thread."""
+        path, _, query = request.path.partition("?")
+        path = path.rstrip("/") or "/"
         rid = self._request_id(request)
-        self.scrapes += 1
         try:
-            if path == "/metrics":
-                body = self.metrics_text().encode("utf-8")
-                content_type = PROMETHEUS_CONTENT_TYPE
-            elif path == "/jobs":
-                body = _json_bytes(self.state())
-                content_type = "application/json"
-            elif path == "/runs":
-                body = _json_bytes(self.runs())
-                content_type = "application/json"
-            elif path in ("/", "/healthz"):
-                body = _json_bytes(self.healthz())
-                content_type = "application/json"
+            if method == "GET":
+                self.scrapes += 1
+                outcome = self._routed("GET", path, query)
             else:
-                body = _json_bytes(
-                    {"error": f"unknown endpoint {path}",
-                     "endpoints": ["/metrics", "/jobs", "/runs",
-                                   "/healthz"],
-                     "request_id": rid})
-                self._respond(request, 404, body, "application/json")
-                return
-            self._respond(request, 200, body, content_type)
-        except Exception as error:  # a scrape must never crash a run
-            try:
-                self._respond(
-                    request, 500,
-                    _json_bytes({"error": str(error),
-                                 "request_id": rid}),
-                    "application/json",
-                )
-            except Exception:
-                pass
-
-    def handle_post(self, request: BaseHTTPRequestHandler) -> None:
-        """Route one POST.  The telemetry exporter is strictly
-        read-only, so the base server rejects every write; the
-        simulation service (:class:`repro.service.ServiceServer`)
-        overrides this with the job-submission endpoints.
-        """
+                outcome = self._answer_post(request, path, rid)
+            reply = _encode(outcome, rid)
+        except Exception as error:  # a request must never crash a run
+            reply = _encode((500, {"error": str(error)}), rid)
         try:
-            self._respond(
-                request, 405,
-                _json_bytes({"error": "this server is read-only",
-                             "request_id": self._request_id(request)}),
-                "application/json",
-            )
+            self._respond(request, rid, *reply)
         except Exception:
-            pass
+            pass  # the client went away mid-reply
+
+    def _routed(self, method: str, path: str, arg):
+        """Run the route matching ``method`` and ``path``, or answer 404
+        listing the method's endpoints."""
+        for route in self.ROUTES:
+            if route.method != method:
+                continue
+            if route.path.endswith("/<key>"):
+                prefix = route.path[:-len("<key>")]
+                if path.startswith(prefix):
+                    return route.handler(self, path[len(prefix):])
+            elif route.path == path:
+                return route.handler(self, arg)
+        return 404, {"error": f"unknown endpoint {path}",
+                     "endpoints": self.endpoints(method)}
+
+    def _answer_post(self, request, path: str, rid: str):
+        """The POST steps.  The exporter is strictly read-only; the
+        simulation service (:class:`repro.service.ServiceServer`)
+        replaces this with its job API's steps."""
+        return 405, {"error": "this server is read-only"}
 
     @staticmethod
     def _read_json_body(request: BaseHTTPRequestHandler) -> dict:
@@ -538,19 +579,28 @@ class TelemetryServer:
         return document
 
     @staticmethod
-    def _respond(request, status: int, body: bytes,
+    def _respond(request, rid: str, status: int, body: bytes,
                  content_type: str,
                  headers: Optional[Dict[str, str]] = None) -> None:
         request.send_response(status)
         request.send_header("Content-Type", content_type)
         request.send_header("Content-Length", str(len(body)))
-        rid = getattr(request, "repro_request_id", None)
-        if rid is not None:
-            request.send_header("X-Repro-Request-Id", rid)
+        request.send_header("X-Repro-Request-Id", rid)
         for name, value in (headers or {}).items():
             request.send_header(name, str(value))
         request.end_headers()
         request.wfile.write(body)
+
+
+def _encode(outcome, rid: str) -> tuple:
+    """``(status, body, content_type, headers)`` of a handler outcome."""
+    status, document, headers = (*outcome, None)[:3]
+    if isinstance(document, str):
+        return (status, document.encode("utf-8"), PROMETHEUS_CONTENT_TYPE,
+                headers)
+    if status >= 400:
+        document.setdefault("request_id", rid)
+    return status, _json_bytes(document), "application/json", headers
 
 
 def _json_bytes(document: dict) -> bytes:

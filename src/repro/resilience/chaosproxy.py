@@ -38,10 +38,11 @@ import http.client
 import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from typing import Dict, Optional, Tuple
 from urllib.parse import urlsplit
 
+from repro.obs.server import HTTPServerThread, PrometheusText
 from repro.resilience.faults import FaultPlan
 
 #: Request headers not forwarded upstream (recomputed per hop).
@@ -54,7 +55,7 @@ _HOP_HEADERS = frozenset({"host", "content-length", "connection",
 _RELAY_HEADERS = ("Retry-After", "X-Repro-Request-Id")
 
 
-class ChaosProxy:
+class ChaosProxy(HTTPServerThread):
     """A forwarding HTTP proxy that injects :class:`FaultPlan` faults.
 
     Counters (all thread-safe, readable while serving):
@@ -67,6 +68,8 @@ class ChaosProxy:
     * ``upstream_errors`` — requests answered 502 because the upstream
       connection failed (server down / mid-restart).
     """
+
+    thread_name = "repro-chaos-proxy"
 
     def __init__(self, upstream: str, plan: Optional[FaultPlan] = None,
                  port: int = 0, host: str = "127.0.0.1",
@@ -86,14 +89,11 @@ class ChaosProxy:
         self.faults: Dict[str, int] = {}
         self._seen_rids: Dict[str, int] = {}
         self._lock = threading.Lock()
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
-    # Lifecycle (mirrors TelemetryServer).
+    # Lifecycle: HTTPServerThread's, with this handler class.
     # ------------------------------------------------------------------
-    def start(self) -> str:
-        """Bind and serve from a daemon thread; returns the proxy URL."""
+    def _handler_class(self) -> type:
         proxy = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -105,32 +105,9 @@ class ChaosProxy:
             def do_GET(self):
                 proxy._handle(self)
 
-            def do_POST(self):
-                proxy._handle(self)
+            do_POST = do_GET
 
-        self._httpd = ThreadingHTTPServer((self.host, self.port), Handler)
-        self._httpd.daemon_threads = True
-        self.port = self._httpd.server_address[1]
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-chaos-proxy",
-            daemon=True,
-        )
-        self._thread.start()
-        return self.url
-
-    def stop(self) -> None:
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
+        return Handler
 
     # ------------------------------------------------------------------
     # Request handling.
@@ -286,8 +263,6 @@ class ChaosProxy:
 
     def chaos_metrics_text(self) -> str:
         """``repro_service_chaos_*`` families, exposition format."""
-        from repro.obs.server import PrometheusText
-
         counts = self.counters()
         text = PrometheusText()
         text.sample("service.chaos_requests", "counter",

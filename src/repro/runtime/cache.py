@@ -68,7 +68,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro._http import ServiceUnavailable, get_json
+from repro._http import ServiceUnavailable, json_round_trip
 from repro._jsonfile import read_json, write_json_atomic
 from repro.core.result import SimResult
 from repro.runtime.job import JOB_SCHEMA_VERSION, SimJob
@@ -419,8 +419,10 @@ class ResultCache:
         if context is not None:
             span = tracer.start("cache.remote", context, stage="cache",
                                 key=job.key)
-        payload = fetch_remote_entry(self.remote, job.key)
+        payload, trouble = _fetch_remote(self.remote, job.key)
         if payload is None:
+            if trouble:
+                self._count("remote_errors", shard)
             if span is not None:
                 tracer.finish(span, hit=False)
             return None
@@ -722,18 +724,28 @@ class ResultCache:
             self._persist(field)
 
 
-def fetch_remote_entry(url: str, key: str,
-                       timeout: float = REMOTE_TIMEOUT) -> Optional[dict]:
-    """One ``GET <url>/cache/<key>`` round trip; ``None`` on any trouble.
+def _fetch_remote(url: str, key: str, timeout: float = REMOTE_TIMEOUT
+                  ) -> Tuple[Optional[dict], bool]:
+    """``(entry, trouble)`` of one ``GET <url>/cache/<key>``.
 
-    Goes through the stdlib-only leaf :mod:`repro._http`, so the
-    runtime layer never depends on the service package (the service
-    depends on the runtime).
+    A 404 is a plain miss, ``(None, False)``.  A connection fault, any
+    other error status or a reply that is not a JSON object is trouble,
+    ``(None, True)``.  Goes through the stdlib-only leaf
+    :mod:`repro._http`, so the runtime layer never depends on the
+    service package (the service depends on the runtime).
     """
     try:
-        return get_json(f"{url.rstrip('/')}/cache/{key}",
-                        headers={"Accept": "application/json"},
-                        timeout=timeout)
+        status, _, reply = json_round_trip(
+            f"{url.rstrip('/')}/cache/{key}",
+            headers={"Accept": "application/json"}, timeout=timeout)
     except ServiceUnavailable:
-        return None
+        return None, True
+    if status >= 400:
+        return None, status != 404
+    return reply, False
 
+
+def fetch_remote_entry(url: str, key: str,
+                       timeout: float = REMOTE_TIMEOUT) -> Optional[dict]:
+    """One ``GET <url>/cache/<key>`` round trip; ``None`` on any trouble."""
+    return _fetch_remote(url, key, timeout)[0]

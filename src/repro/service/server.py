@@ -1,10 +1,14 @@
 """The simulation service's HTTP server: job API + shared cache tier.
 
-:class:`ServiceServer` grows the read-only
-:class:`~repro.obs.server.TelemetryServer` into a writable job API
-(same stdlib ``ThreadingHTTPServer``, same exposition helpers, same
-fail-soft handler discipline) fronting a :class:`JobQueue` and the
-sharded :class:`~repro.runtime.cache.ResultCache`:
+:class:`ServiceServer` is a :class:`~repro.obs.server.TelemetryServer`
+whose route table adds a writable job API fronting a :class:`JobQueue`
+and the sharded :class:`~repro.runtime.cache.ResultCache`.  It shares
+the exporter's request path (route table → dispatch → handler → one
+``_respond``), so routing, request ids, 404s and the fail-soft 500 are
+the exporter's; its handlers only return ``(status, document[,
+headers])``.  Its POST steps run in :meth:`ServiceServer._answer_post`,
+in this order: body parse (400), idempotent replay, deadline (408),
+``traceparent`` fill-in, then the route.
 
 ``POST /jobs``
     Body: a job's canonical form (``SimJob.canonical()``).  Validated
@@ -64,9 +68,9 @@ from typing import Optional
 
 from repro._jsonfile import write_json_atomic
 from repro.core.result import SimResult
-from repro.obs.heartbeat import heartbeat_dir
+from repro.obs.heartbeat import HEARTBEAT_FIELDS, heartbeat_dir
 from repro.obs.metrics import Histogram
-from repro.obs.server import PrometheusText, TelemetryServer, _json_bytes
+from repro.obs.server import PrometheusText, Route, TelemetryServer
 from repro.obs.spans import (
     LATENCY_BUCKETS,
     SpanRecorder,
@@ -203,49 +207,17 @@ class ServiceServer(TelemetryServer):
                             requeues=entry.requeues, **common)
 
     # ------------------------------------------------------------------
-    # GET routing.
+    # GET handlers.
     # ------------------------------------------------------------------
-    def handle(self, request) -> None:
-        path = request.path.split("?", 1)[0].rstrip("/") or "/"
-        rid = self._request_id(request)
-        try:
-            if path == "/queue":
-                self.scrapes += 1
-                self._respond(request, 200, _json_bytes(
-                    self.queue.snapshot()), "application/json")
-                return
-            if path == "/spans":
-                self.scrapes += 1
-                self._spans_document(request)
-                return
-            if path.startswith("/jobs/"):
-                self.scrapes += 1
-                self._job_status(request, path[len("/jobs/"):])
-                return
-            if path.startswith("/cache/"):
-                self.scrapes += 1
-                self._cache_entry(request, path[len("/cache/"):])
-                return
-        except Exception as error:  # same fail-soft contract as the base
-            try:
-                self._respond(request, 500,
-                              _json_bytes({"error": str(error),
-                                           "request_id": rid}),
-                              "application/json")
-            except Exception:
-                pass
-            return
-        super().handle(request)
-
-    def _spans_document(self, request) -> None:
+    def _spans_document(self, query: str):
         """``GET /spans``: the service's span journal as JSON.
 
         ``?trace=<id>`` filters to one trace, ``?limit=N`` keeps the
         newest N records (the journal is append-ordered).
         """
-        from urllib.parse import parse_qs, urlsplit
+        from urllib.parse import parse_qs
 
-        query = parse_qs(urlsplit(request.path).query)
+        query = parse_qs(query)
         records = read_spans(self.data_dir)
         trace = query.get("trace", [None])[0]
         if trace:
@@ -256,15 +228,13 @@ class ServiceServer(TelemetryServer):
                 records = records[-max(0, int(limit)):]
             except ValueError:
                 pass
-        document = {
+        return 200, {
             "count": len(records),
             "spans": records,
             "write_errors": self.spans.write_errors,
         }
-        self._respond(request, 200, _json_bytes(document),
-                      "application/json")
 
-    def _job_status(self, request, key: str) -> None:
+    def _job_status(self, key: str):
         # One snapshot under the queue lock, which _post_complete holds
         # across its cache store and queue transition: a completion is
         # seen whole or not at all, so ``done`` comes with its result
@@ -274,13 +244,7 @@ class ServiceServer(TelemetryServer):
             view = entry.public() if entry is not None else None
             cached = self.cache.load_key(key)
         if view is None and cached is None:
-            self._respond(request, 404,
-                          _json_bytes({
-                              "error": f"unknown job {key}",
-                              "request_id": self._request_id(request),
-                          }),
-                          "application/json")
-            return
+            return 404, {"error": f"unknown job {key}"}
         document = {"key": key, "api": SERVICE_API_VERSION}
         if view is not None:
             document.update(view)
@@ -289,24 +253,16 @@ class ServiceServer(TelemetryServer):
             document["result"] = cached.get("result")
             document.setdefault("elapsed", cached.get("elapsed"))
             document["cached"] = True
-        self._respond(request, 200, _json_bytes(document),
-                      "application/json")
+        return 200, document
 
-    def _cache_entry(self, request, key: str) -> None:
+    def _cache_entry(self, key: str):
         payload = self.cache.load_key(key)
         if payload is None:
-            self._respond(request, 404,
-                          _json_bytes({
-                              "error": f"cache miss for {key}",
-                              "request_id": self._request_id(request),
-                          }),
-                          "application/json")
-            return
-        self._respond(request, 200, _json_bytes(payload),
-                      "application/json")
+            return 404, {"error": f"cache miss for {key}"}
+        return 200, payload
 
     # ------------------------------------------------------------------
-    # POST routing (the writable half the telemetry exporter lacks).
+    # POST steps and handlers (the writable half the exporter lacks).
     # ------------------------------------------------------------------
     def drain(self) -> None:
         """Enter drain mode (SIGTERM path): grant no new claims, shed
@@ -315,9 +271,8 @@ class ServiceServer(TelemetryServer):
         ``/healthz`` announces the state for orchestrators."""
         self.draining = True
 
-    def _replayed_response(self, request, path: str,
-                           rid: str) -> bool:
-        """Answer a retried mutation from the replay cache (True if so).
+    def _replayed_response(self, request, path: str, rid: str):
+        """The cached answer to a retried mutation, or ``None``.
 
         The cache is keyed on the *client-supplied* request id — the
         transport reuses one id across every retry of a logical
@@ -325,19 +280,15 @@ class ServiceServer(TelemetryServer):
         re-acknowledged here without the mutation running twice.
         """
         if path not in REPLAYABLE_PATHS:
-            return False
+            return None
         if not request.headers.get("X-Repro-Request-Id"):
-            return False  # no client id: nothing to key replay on
+            return None  # no client id: nothing to key replay on
         cached = self._replay_cache.get(rid)
         if cached is None:
-            return False
+            return None
         self.request_replays += 1
         status, document = cached
-        document = dict(document)
-        document["replayed"] = True
-        self._respond(request, status, _json_bytes(document),
-                      "application/json")
-        return True
+        return status, dict(document, replayed=True)
 
     def _remember_response(self, request, path: str, rid: str,
                            status: int, document) -> None:
@@ -375,71 +326,30 @@ class ServiceServer(TelemetryServer):
         except (TypeError, ValueError):
             return False
 
-    def handle_post(self, request) -> None:
-        path = request.path.split("?", 1)[0].rstrip("/") or "/"
-        rid = self._request_id(request)
+    def _answer_post(self, request, path: str, rid: str):
+        """Body parse (400), replay, deadline (408), ``traceparent``
+        fill-in, then the route; only routed answers enter the replay
+        cache."""
         try:
             body = self._read_json_body(request)
         except ValueError as error:
-            self._respond(request, 400,
-                          _json_bytes({"error": f"bad request body: {error}",
-                                       "request_id": rid}),
-                          "application/json")
-            return
-        try:
-            if self._replayed_response(request, path, rid):
-                return
-        except Exception:
-            pass  # replay is an optimisation, never a failure mode
+            return 400, {"error": f"bad request body: {error}"}
+        replayed = self._replayed_response(request, path, rid)
+        if replayed is not None:
+            return replayed
         if self._deadline_expired(request):
             self.deadline_rejected += 1
-            self._respond(request, 408,
-                          _json_bytes({"error": "client deadline exceeded "
-                                                "before processing",
-                                       "request_id": rid}),
-                          "application/json")
-            return
-        if path == "/jobs":
-            # Trace context rides both the payload ("trace") and the
-            # W3C-style HTTP header; the header fills in when a client
-            # only speaks traceparent.
-            header = request.headers.get("traceparent")
-            if header is not None and "trace" not in body:
-                body["trace"] = header
-        headers_out = None
-        try:
-            if path == "/jobs":
-                outcome = self._post_job(body)
-            elif path == "/claim":
-                outcome = self._post_claim(body)
-            elif path == "/complete":
-                outcome = self._post_complete(body)
-            elif path == "/fail":
-                outcome = self._post_fail(body)
-            elif path == "/heartbeat":
-                outcome = self._post_heartbeat(body)
-            elif path == "/spans":
-                outcome = self._post_spans(body)
-            else:
-                outcome = 404, {
-                    "error": f"unknown endpoint {path}",
-                    "endpoints": ["/jobs", "/claim", "/complete",
-                                  "/fail", "/heartbeat", "/spans"],
-                }
-        except Exception as error:
-            outcome = 500, {"error": str(error)}
-        if len(outcome) == 3:
-            status, document, headers_out = outcome
-        else:
-            status, document = outcome
-        if status >= 400 and isinstance(document, dict):
-            document.setdefault("request_id", rid)
-        self._remember_response(request, path, rid, status, document)
-        try:
-            self._respond(request, status, _json_bytes(document),
-                          "application/json", headers=headers_out)
-        except Exception:
-            pass
+            return 408, {"error": "client deadline exceeded before "
+                                  "processing"}
+        # Trace context rides both the payload ("trace") and the
+        # W3C-style HTTP header; the header fills in when a client only
+        # speaks traceparent.
+        header = request.headers.get("traceparent")
+        if path == "/jobs" and header is not None and "trace" not in body:
+            body["trace"] = header
+        outcome = self._routed("POST", path, body)
+        self._remember_response(request, path, rid, *outcome[:2])
+        return outcome
 
     def _post_job(self, body: dict):
         """Validate, dedupe, and enqueue one submission.
@@ -601,10 +511,7 @@ class ServiceServer(TelemetryServer):
         renewed = False
         if isinstance(key, str):
             renewed = self.queue.renew(key, worker=body.get("worker"))
-        record = {field: body.get(field) for field in
-                  ("schema", "pid", "index", "key", "label", "attempt",
-                   "beats", "cycles", "retired", "ipc", "elapsed",
-                   "profile", "interval", "done", "worker", "run_id")
+        record = {field: body[field] for field in HEARTBEAT_FIELDS
                   if body.get(field) is not None}
         record["ts"] = time.time()
         index = record.get("index", 0)
@@ -618,14 +525,10 @@ class ServiceServer(TelemetryServer):
         return 200, {"renewed": renewed}
 
     # ------------------------------------------------------------------
-    # /metrics: telemetry families + queue + sharded cache.
+    # Health and the route table.
     # ------------------------------------------------------------------
     def healthz(self) -> dict:
         document = super().healthz()
-        document["endpoints"] = [
-            "/metrics", "/jobs", "/jobs/<key>", "/queue", "/cache/<key>",
-            "/spans", "/runs", "/healthz",
-        ]
         document["role"] = "service"
         document["draining"] = self.draining
         document["read_only"] = self.queue.read_only
@@ -633,19 +536,31 @@ class ServiceServer(TelemetryServer):
             document["max_depth"] = self.max_depth
         return document
 
-    def metrics_text(self) -> str:
-        text = PrometheusText()
-        text.sample("exporter.uptime_seconds", "gauge",
-                    time.time() - self.started)
-        text.sample("exporter.scrapes", "counter", self.scrapes)
+    #: The exporter's routes with the service's reads listed after
+    #: ``/jobs``, then the job API and the worker protocol.
+    ROUTES = (
+        *TelemetryServer.ROUTES[:2],
+        Route("GET", "/jobs/<key>", _job_status),
+        Route("GET", "/queue", lambda s, _: (200, s.queue.snapshot())),
+        Route("GET", "/cache/<key>", _cache_entry),
+        Route("GET", "/spans", _spans_document),
+        *TelemetryServer.ROUTES[2:],
+        Route("POST", "/jobs", _post_job),
+        Route("POST", "/claim", _post_claim),
+        Route("POST", "/complete", _post_complete),
+        Route("POST", "/fail", _post_fail),
+        Route("POST", "/heartbeat", _post_heartbeat),
+        Route("POST", "/spans", _post_spans),
+    )
+
+    # ------------------------------------------------------------------
+    # /metrics: queue + sharded cache + spans between the exporter's
+    # preamble and its heartbeat and registry families.
+    # ------------------------------------------------------------------
+    def _source_metrics(self, text: PrometheusText) -> None:
         self._queue_metrics(text)
         self._cache_metrics(text)
         self._span_metrics(text)
-        self._heartbeat_metrics(text)
-        if self.registry is not None:
-            from repro.obs.server import registry_to_prometheus
-            registry_to_prometheus(self.registry, text)
-        return text.render()
 
     def _queue_metrics(self, text: PrometheusText) -> None:
         snapshot = self.queue.snapshot()
@@ -683,15 +598,8 @@ class ServiceServer(TelemetryServer):
                 waits.append(max(0.0, times["claimed"]
                                  - times["submitted"]))
         if waits:
-            summary = Histogram.of(waits, buckets=LATENCY_BUCKETS).summary()
-            for q_label, q_key in (("0.5", "p50"), ("0.95", "p95"),
-                                   ("0.99", "p99")):
-                text.sample("service.queue_wait_seconds", "summary",
-                            summary[q_key], quantile=q_label)
-            text.sample("service.queue_wait_seconds_sum", "gauge",
-                        summary["sum"])
-            text.sample("service.queue_wait_seconds_count", "gauge",
-                        summary["count"])
+            text.summary("service.queue_wait_seconds", Histogram.of(
+                waits, buckets=LATENCY_BUCKETS).summary())
 
     def _span_metrics(self, text: PrometheusText) -> None:
         """``repro_service_span_seconds{stage=}``: per-stage latency
@@ -700,16 +608,8 @@ class ServiceServer(TelemetryServer):
         text.sample("service.span_write_errors", "counter",
                     self.spans.write_errors)
         for stage in sorted(self._span_hist):
-            summary = self._span_hist[stage].summary()
-            for q_label, q_key in (("0.5", "p50"), ("0.95", "p95"),
-                                   ("0.99", "p99")):
-                text.sample("service.span_seconds", "summary",
-                            summary[q_key], quantile=q_label,
-                            stage=stage)
-            text.sample("service.span_seconds_sum", "gauge",
-                        summary["sum"], stage=stage)
-            text.sample("service.span_seconds_count", "gauge",
-                        summary["count"], stage=stage)
+            text.summary("service.span_seconds",
+                         self._span_hist[stage].summary(), stage=stage)
 
     def _cache_metrics(self, text: PrometheusText) -> None:
         stats = self.cache.stats

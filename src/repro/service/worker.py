@@ -60,7 +60,7 @@ import time
 from typing import Optional
 
 from repro._http import REQUEST_TIMEOUT, ServiceUnavailable, json_round_trip
-from repro.obs.heartbeat import HEARTBEAT_SCHEMA_VERSION
+from repro.obs.heartbeat import heartbeat_record
 from repro.obs.spans import SpanRecorder, TraceContext
 from repro.runtime.cache import ResultCache, flush_persistent_stats
 from repro.runtime.job import SimJob
@@ -336,41 +336,34 @@ class WorkerAgent:
         """A simulator progress hook posting heartbeats over HTTP."""
         def beat(pipeline) -> None:
             stats = pipeline.stats
-            record = {
-                "schema": HEARTBEAT_SCHEMA_VERSION,
-                "pid": os.getpid(),
-                "index": index,
-                "key": job.key,
-                "label": job.label,
-                "attempt": attempt,
-                "beats": self.heartbeats,
-                "cycles": stats.cycles,
-                "retired": stats.retired,
-                "ipc": stats.ipc,
-                "elapsed": time.monotonic() - started,
-                "worker": self.name,
-            }
-            if run_id is not None:
-                record["run_id"] = run_id
-            if recorder is not None:
-                window = recorder.last_window()
-                if window is not None:
-                    record["interval"] = window
+            window = recorder.last_window() if recorder is not None else None
+            record = heartbeat_record(
+                index, job.key, job.label, attempt, self.heartbeats,
+                stats.cycles, stats.retired, stats.ipc,
+                time.monotonic() - started, worker=self.name,
+                run_id=run_id, interval=window)
             try:
-                json_round_trip(f"{self.url}/heartbeat", record,
-                                timeout=5.0)
-                self.heartbeats += 1
+                status, _, reply = json_round_trip(
+                    f"{self.url}/heartbeat", record, timeout=5.0)
             except Exception as error:
-                # Beats are best-effort: ANY failure — connection loss,
-                # torn response, local I/O — degrades liveness
-                # reporting, never the simulation.  Warn once so logs
-                # show the degradation without a line per beat; if this
-                # worker is truly dead, lease expiry re-queues the job.
-                if self.heartbeat_errors == 0:
-                    self._say("heartbeat failed "
-                              f"({type(error).__name__}: {error}); "
-                              "continuing without heartbeats")
-                self.heartbeat_errors += 1
+                problem = f"{type(error).__name__}: {error}"
+            else:
+                # A beat counts only when the server renewed the lease.
+                if status < 400 and reply.get("renewed") is True:
+                    self.heartbeats += 1
+                    return
+                problem = (f"HTTP {status}: "
+                           f"{reply.get('error', 'lease not renewed')}")
+            # Beats are best-effort: ANY failure — connection loss, torn
+            # response, a lease the server did not renew, local I/O —
+            # degrades liveness reporting, never the simulation.  Warn
+            # once so logs show the degradation without a line per beat;
+            # if this worker is truly dead, lease expiry re-queues the
+            # job.
+            if self.heartbeat_errors == 0:
+                self._say(f"heartbeat failed ({problem}); "
+                          "continuing without heartbeats")
+            self.heartbeat_errors += 1
         return beat
 
     def _report_complete(self, job: SimJob, result: dict,

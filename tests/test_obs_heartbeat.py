@@ -7,6 +7,7 @@ from repro.assign.base import StrategySpec
 from repro.cluster.config import MachineConfig
 from repro.core.simulator import Simulator
 from repro.obs.heartbeat import (
+    HEARTBEAT_FIELDS,
     HEARTBEAT_SCHEMA_VERSION,
     HeartbeatMonitor,
     HeartbeatWriter,
@@ -75,6 +76,18 @@ class TestHeartbeatWriter:
         assert set(record["profile"]) == {"fetch", "assign",
                                           "execute", "fill"}
         assert sum(record["profile"].values()) > 0
+
+    def test_the_service_stores_every_field_a_writer_writes(self,
+                                                            tmp_path):
+        import types
+
+        HeartbeatWriter(str(tmp_path), index=2, key=None, label="x",
+                        run_id="run-1", _clock=lambda: 7.0,
+                        profiler=types.SimpleNamespace(seconds={"fetch": 1}))
+        record = read_record(tmp_path, 2)
+        assert set(record) - {"ts"} <= set(HEARTBEAT_FIELDS)
+        assert record["key"] is None and record["ts"] == 7.0
+        assert record["elapsed"] == 0.0
 
     def test_unwritable_directory_degrades_not_raises(self):
         writer = HeartbeatWriter("/proc/no-such-dir/hb", index=0)

@@ -484,15 +484,16 @@ class TestWorkerHeartbeatFailSoft:
 
 
 class _StubHandler(BaseHTTPRequestHandler):
-    """Answers every GET and POST with ``200`` and :attr:`body`."""
+    """Answers every GET and POST with :attr:`status` and :attr:`body`."""
 
     body = b"{}"
+    status = 200
 
     def _answer(self):
         length = int(self.headers.get("Content-Length") or 0)
         if length:
             self.rfile.read(length)
-        self.send_response(200)
+        self.send_response(self.status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(self.body)))
         self.end_headers()
@@ -505,8 +506,9 @@ class _StubHandler(BaseHTTPRequestHandler):
 
 
 @contextlib.contextmanager
-def stub_server(body: bytes):
-    handler = type("Stub", (_StubHandler,), {"body": body})
+def stub_server(body: bytes, status: int = 200):
+    handler = type("Stub", (_StubHandler,), {"body": body,
+                                             "status": status})
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
@@ -593,3 +595,56 @@ def test_bad_reply_is_a_clean_failure_at_every_client(
 
     monkeypatch.setattr(repro.obs.top, "URL_BACKOFF", 0.001)
     client(bad_reply_url, capsys)
+
+
+# ----------------------------------------------------------------------
+# A beat counts only when the server renewed the lease; a remote-tier
+# lookup in trouble counts as a remote error
+
+
+@pytest.mark.parametrize("status, reply, beats, errors", [
+    (409, {"error": "lease not held"}, 0, 2),
+    (200, {"renewed": False}, 0, 2),
+    (200, {"renewed": True}, 2, 0),
+], ids=["409", "not renewed", "renewed"])
+def test_heartbeat_counts_only_a_renewed_lease(status, reply, beats,
+                                               errors):
+    import io
+    import types
+
+    from repro.service.worker import WorkerAgent
+
+    stream = io.StringIO()
+    pipeline = types.SimpleNamespace(stats=types.SimpleNamespace(
+        cycles=100, retired=80, ipc=0.8))
+    with stub_server(json.dumps(reply).encode("utf-8"), status) as url:
+        agent = WorkerAgent(url, name="w", stream=stream)
+        beat = agent._heartbeat_hook(make_job(), index=0, attempt=0,
+                                     started=0.0)
+        beat(pipeline)   # must not raise
+        beat(pipeline)
+    assert (agent.heartbeats, agent.heartbeat_errors) == (beats, errors)
+    assert stream.getvalue().count("heartbeat failed") == min(errors, 1)
+
+
+@pytest.mark.parametrize("status, body, errors", [
+    (None, b"", 1),                       # nothing listens
+    (500, b'{"error": "boom"}', 1),
+    (200, b"[]", 1),
+    (404, b'{"error": "cache miss"}', 0),
+], ids=["refused", "500", "non-object", "404"])
+def test_remote_tier_trouble_counts_a_remote_error(tmp_path, status, body,
+                                                   errors):
+    from repro.runtime import ResultCache
+
+    def load(url):
+        cache = ResultCache(root=str(tmp_path / "cache"), remote=url)
+        assert cache.load(make_job()) is None
+        return cache.stats
+
+    if status is None:
+        stats = load("http://127.0.0.1:9")
+    else:
+        with stub_server(body, status) as url:
+            stats = load(url)
+    assert (stats.misses, stats.remote_errors) == (1, errors)

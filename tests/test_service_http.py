@@ -11,6 +11,7 @@ import pytest
 from repro.assign.base import StrategySpec
 from repro.cluster.config import MachineConfig
 from repro.obs.server import TelemetryServer
+from repro.resilience import ChaosProxy
 from repro.runtime import ResultCache, SimJob
 from repro.runtime import settings
 from repro.service import ServiceServer
@@ -390,12 +391,56 @@ class TestBinding:
             raise AssertionError("socket.getfqdn called")
 
         monkeypatch.setattr(socket, "getfqdn", no_lookup)
-        for server in (TelemetryServer(telemetry_dir=str(tmp_path / "t")),
-                       ServiceServer(str(tmp_path / "data"),
-                                     lease_seconds=30)):
-            server.start()
+        upstream = TelemetryServer(telemetry_dir=str(tmp_path / "u"))
+        upstream.start()
+        try:
+            for server in (TelemetryServer(telemetry_dir=str(tmp_path / "t")),
+                           ServiceServer(str(tmp_path / "data"),
+                                         lease_seconds=30),
+                           ChaosProxy(upstream.url)):
+                server.start()
+                try:
+                    status, _ = get(server.url, "/healthz")
+                    assert status == 200
+                finally:
+                    server.stop()
+        finally:
+            upstream.stop()
+
+
+class TestRouteTable:
+    @pytest.fixture(params=["telemetry", "service"])
+    def served(self, request, tmp_path):
+        """A started server, and a key it knows for ``<key>``."""
+        if request.param == "telemetry":
+            server = TelemetryServer(telemetry_dir=str(tmp_path / "t"))
+            key = None
+        else:
+            server = ServiceServer(str(tmp_path / "data"), lease_seconds=30)
+            job = make_job()
+            server.cache.store(job, make_result())
+            key = job.key
+        server.start()
+        yield server, key
+        server.stop()
+
+    def test_every_listed_endpoint_answers(self, served):
+        server, key = served
+        status, health = get(server.url, "/healthz")
+        assert status == 200
+        for endpoint in health["endpoints"]:
+            path = endpoint.replace("<key>", key or "")
             try:
-                status, _ = get(server.url, "/healthz")
-                assert status == 200
-            finally:
-                server.stop()
+                with urllib.request.urlopen(f"{server.url}{path}",
+                                            timeout=10) as response:
+                    status = response.status
+            except urllib.error.HTTPError as error:
+                status = error.code
+            assert status != 404, endpoint
+
+    def test_404_lists_the_healthz_endpoints(self, served):
+        server, _ = served
+        _, health = get(server.url, "/healthz")
+        status, document = get(server.url, "/nope")
+        assert status == 404
+        assert document["endpoints"] == health["endpoints"]
