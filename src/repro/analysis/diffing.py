@@ -19,8 +19,6 @@ telemetry --against baselines/base.json``.
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 from typing import Dict, List, Optional
 
 from repro.analysis.baseline import (
@@ -231,11 +229,10 @@ def _load_source(path: str):
     manifest JSON file, or a baseline JSON document.  ``bands`` is
     empty for manifests — the diff then applies the default floors.
     """
-    path = os.fspath(path)
-    if os.path.isdir(path):
-        path = os.path.join(path, "manifest.json")
-    with open(path, encoding="utf-8") as handle:
-        document = json.load(handle)
+    from repro.obs.manifest import load_manifest, manifest_path
+
+    path = manifest_path(path)
+    document = load_manifest(path)
 
     if "entries" in document:  # baseline document
         document = load_baseline(path)  # re-read for schema validation

@@ -1367,12 +1367,10 @@ def _cmd_analyze(args) -> int:
         return 2
     report = None
     if args.telemetry is not None:
-        path = args.telemetry
-        if os.path.isdir(path):
-            path = os.path.join(path, "manifest.json")
+        from repro.obs.manifest import load_manifest
+
         try:
-            with open(path, encoding="utf-8") as handle:
-                manifest = json.load(handle)
+            manifest = load_manifest(args.telemetry)
         except OSError as error:
             print(f"error: cannot read manifest: {error}", file=sys.stderr)
             return 2

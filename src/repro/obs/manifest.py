@@ -11,7 +11,10 @@ artifacts under a telemetry directory:
     line.  Successive runs append, so the file is the full history of
     the directory, and because completed lines carry results it doubles
     as the *journal* that ``repro sweep --resume`` replays
-    (:mod:`repro.resilience.resume`).
+    (:mod:`repro.resilience.resume`).  Every reader folds it with
+    :func:`repro.obs.heartbeat.fold_journal`, through the same
+    :func:`~repro.obs.heartbeat.apply_job_event` rule this writer
+    applies to its live job records.
 
 ``manifest.json``
     Snapshot of the *latest* run: run ``status`` (``complete``,
@@ -46,9 +49,16 @@ import subprocess
 import sys
 import time
 import uuid
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro._jsonfile import append_jsonl, write_json_atomic
+from repro.obs.heartbeat import (
+    JOURNAL_NAME,
+    MANIFEST_NAME,
+    RUN_TOTALS,
+    apply_job_event,
+    job_record,
+)
 
 #: Manifest document schema; bump on incompatible layout changes.
 #: v2: job records carry benchmark/strategy/seed/instruction budgets
@@ -61,9 +71,6 @@ from repro._jsonfile import append_jsonl, write_json_atomic
 #: ``run_id`` correlation id, and the manifest gains ``git_dirty``.
 MANIFEST_SCHEMA_VERSION = 4
 
-#: Job-event statuses that finish a job with a correct result.
-_COMPLETED_STATUSES = ("done", "hit", "resumed")
-
 
 def host_info() -> dict:
     """Best-effort description of the executing host."""
@@ -75,19 +82,20 @@ def host_info() -> dict:
     }
 
 
-def git_sha(cwd: Optional[str] = None) -> Optional[str]:
-    """HEAD commit of the repository containing ``cwd``, or ``None``."""
+def _git(*args: str, cwd: Optional[str] = None) -> Optional[str]:
+    """Standard output of ``git *args`` in ``cwd``, or ``None`` when
+    there is no repository or no git."""
     try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=cwd or os.getcwd(),
-            capture_output=True, text=True, timeout=5,
-        )
+        proc = subprocess.run(["git", *args], cwd=cwd or os.getcwd(),
+                              capture_output=True, text=True, timeout=5)
     except Exception:
         return None
-    if proc.returncode != 0:
-        return None
-    return proc.stdout.strip() or None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def git_sha(cwd: Optional[str] = None) -> Optional[str]:
+    """HEAD commit of the repository containing ``cwd``, or ``None``."""
+    return _git("rev-parse", "HEAD", cwd=cwd) or None
 
 
 def git_dirty(cwd: Optional[str] = None) -> Optional[bool]:
@@ -97,17 +105,8 @@ def git_dirty(cwd: Optional[str] = None) -> Optional[bool]:
     run from outside version control is neither clean nor dirty, and
     the manifest records exactly that.
     """
-    try:
-        proc = subprocess.run(
-            ["git", "status", "--porcelain"],
-            cwd=cwd or os.getcwd(),
-            capture_output=True, text=True, timeout=5,
-        )
-    except Exception:
-        return None
-    if proc.returncode != 0:
-        return None
-    return bool(proc.stdout.strip())
+    status = _git("status", "--porcelain", cwd=cwd)
+    return None if status is None else bool(status)
 
 
 def new_run_id() -> str:
@@ -148,8 +147,8 @@ class TelemetryWriter:
     def __init__(self, directory: str) -> None:
         self.directory = os.fspath(directory)
         os.makedirs(self.directory, exist_ok=True)
-        self.events_path = os.path.join(self.directory, "events.jsonl")
-        self.manifest_path = os.path.join(self.directory, "manifest.json")
+        self.events_path = os.path.join(self.directory, JOURNAL_NAME)
+        self.manifest_path = os.path.join(self.directory, MANIFEST_NAME)
         #: Optional :class:`repro.resilience.FaultPlan` arming the
         #: ``telemetry.write`` site (set by the engine for chaos runs).
         self.faults = None
@@ -159,7 +158,6 @@ class TelemetryWriter:
         self._warned = False
         self._run = 0
         self._jobs: List[dict] = []
-        self._by_index: Dict[int, dict] = {}
         self._started = 0.0
         #: Correlation id of the in-progress run (set by start_run).
         self.run_id: Optional[str] = None
@@ -176,21 +174,10 @@ class TelemetryWriter:
         self._run += 1
         self._started = time.time()
         self.run_id = run_id or new_run_id()
-        self._jobs = []
-        self._by_index = {}
-        for index, job in enumerate(jobs):
-            record = {
-                "index": index,
-                "key": job.key if job.cacheable else None,
-                "label": job.label,
-                "status": "pending",
-                "retries": 0,
-                "elapsed": 0.0,
-                "result": None,
-            }
-            record.update(_job_identity(job))
-            self._jobs.append(record)
-            self._by_index[index] = record
+        self._jobs = [
+            {**job_record(index, job.key if job.cacheable else None,
+                          job.label), **_job_identity(job)}
+            for index, job in enumerate(jobs)]
         self._append({
             "event": "run_start", "run": self._run,
             "ts": self._started, "jobs": len(self._jobs),
@@ -214,25 +201,10 @@ class TelemetryWriter:
         """Log one :class:`JobEvent` and fold it into the job records."""
         result = getattr(event, "result", None)
         reason = getattr(event, "reason", None)
-        record = self._by_index.get(event.index)
-        if record is not None:
-            if event.status == "hit":
-                record["status"] = "hit"
-            elif event.status == "resumed":
-                record["status"] = "resumed"
-            elif event.status == "retry":
-                record["retries"] += 1
-                if reason:
-                    record["reason"] = reason
-            elif event.status == "done":
-                record["status"] = "executed"
-                record["elapsed"] = event.elapsed
-                record.pop("reason", None)
-            elif event.status == "failed":
-                record["status"] = "failed"
-                record["reason"] = reason or "infrastructure failure"
-            if result is not None:
-                record["result"] = result.to_dict()
+        payload = result.to_dict() if result is not None else None
+        if 0 <= event.index < len(self._jobs):
+            apply_job_event(self._jobs[event.index], event.status,
+                            event.elapsed, reason, payload)
         line = {
             "event": "job", "run": self._run, "ts": time.time(),
             "index": event.index, "label": event.job.label,
@@ -244,11 +216,12 @@ class TelemetryWriter:
         }
         if reason is not None:
             line["reason"] = reason
-        if result is not None and event.status in _COMPLETED_STATUSES:
-            # The journal: completed lines are self-contained so
-            # `--resume` can replay them even when the cache is cold or
-            # disabled and the run died before any manifest was written.
-            line["result"] = result.to_dict()
+        if payload is not None:
+            # The journal: completed lines (the only events that carry
+            # a result) are self-contained so `--resume` can replay them
+            # even when the cache is cold or disabled and the run died
+            # before any manifest was written.
+            line["result"] = payload
         self._append(line)
 
     def finalize(self, report, cache_stats=None,
@@ -264,10 +237,7 @@ class TelemetryWriter:
         self._append({
             "event": "run_end", "run": self._run, "ts": time.time(),
             "status": status,
-            "elapsed": report.elapsed, "cache_hits": report.cache_hits,
-            "executed": report.executed, "retried": report.retried,
-            "resumed": getattr(report, "resumed", 0),
-            "failed": getattr(report, "failed", 0),
+            **{total: getattr(report, total, 0) for total in RUN_TOTALS},
         })
         manifest = {
             "schema": MANIFEST_SCHEMA_VERSION,
@@ -317,8 +287,17 @@ class TelemetryWriter:
             self._degrade(error)
 
 
-def load_manifest(directory: str) -> dict:
-    """Read ``manifest.json`` back from a telemetry directory."""
-    with open(os.path.join(os.fspath(directory), "manifest.json"),
-              encoding="utf-8") as handle:
+def manifest_path(path: str) -> str:
+    """The run manifest ``path`` names: the ``manifest.json`` of a
+    telemetry directory, or ``path`` itself when it is the file."""
+    path = os.fspath(path)
+    if os.path.isdir(path):
+        return os.path.join(path, MANIFEST_NAME)
+    return path
+
+
+def load_manifest(path: str) -> dict:
+    """Read a run manifest back from a telemetry directory or from the
+    manifest file itself."""
+    with open(manifest_path(path), encoding="utf-8") as handle:
         return json.load(handle)

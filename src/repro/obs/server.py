@@ -25,8 +25,9 @@ Endpoints:
     heartbeat; plus the engine report and cache counters.  This is the
     document ``repro top URL`` renders.
 ``/runs``
-    JSON: run history parsed from ``events.jsonl`` (one entry per
-    ``run_start``/``run_end`` pair) plus the current run.
+    JSON: the runs of the folded ``events.jsonl`` (one entry per
+    ``run_id``, see :func:`repro.obs.heartbeat.fold_journal`) plus the
+    current run.
 ``/healthz``
     JSON liveness probe (200 + uptime).
 
@@ -63,8 +64,15 @@ import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from repro._jsonfile import read_json, read_jsonl
-from repro.obs.heartbeat import HeartbeatMonitor, heartbeat_dir
+from repro._jsonfile import read_json
+from repro.obs.heartbeat import (
+    JOB_STATES,
+    MANIFEST_NAME,
+    HeartbeatMonitor,
+    heartbeat_dir,
+    jobs_document,
+    read_journal,
+)
 
 #: Exposition content type for Prometheus text format 0.0.4.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -174,8 +182,7 @@ class PrometheusText:
         self._typed: Dict[str, str] = {}
         self._lines: List[str] = []
 
-    def sample(self, name: str, kind: str, value,
-               **labels) -> None:
+    def sample(self, name: str, kind: str, value, /, **labels) -> None:
         family = prom_name(name)
         if family not in self._typed:
             self._typed[family] = kind
@@ -183,7 +190,7 @@ class PrometheusText:
         self._lines.append(
             f"{family}{prom_labels(labels)} {prom_value(value)}")
 
-    def summary(self, name: str, summary: dict, **labels) -> None:
+    def summary(self, name: str, summary: dict, /, **labels) -> None:
         """A :meth:`Histogram.summary` as a Prometheus summary: the
         p50/p95/p99 ``quantile`` samples plus ``_sum`` and ``_count``."""
         for q_label, q_key in (("0.5", "p50"), ("0.95", "p95"),
@@ -214,10 +221,6 @@ def registry_to_prometheus(registry, text: Optional[PrometheusText] = None,
     for (name, labels), histogram in sorted(registry._histograms.items()):
         text.summary(name, histogram.summary(), **dict(labels))
     return text
-
-
-#: Job-record statuses exported under ``repro_engine_job_state``.
-JOB_STATES = ("pending", "hit", "executed", "resumed", "failed")
 
 
 class Route(NamedTuple):
@@ -308,7 +311,7 @@ class TelemetryServer(HTTPServerThread):
             return writer.jobs_snapshot()
         directory = self.telemetry_dir
         if directory is not None:
-            manifest = read_json(os.path.join(directory, "manifest.json"))
+            manifest = read_json(os.path.join(directory, MANIFEST_NAME))
             if manifest is not None:
                 return list(manifest.get("jobs", []))
         return []
@@ -320,25 +323,8 @@ class TelemetryServer(HTTPServerThread):
         """The ``/jobs`` document: jobs + heartbeats + report + cache."""
         monitor = self._monitor()
         beats = monitor.by_index() if monitor is not None else {}
-        jobs = self._jobs_records()
-        for record in jobs:
-            # A result payload makes the document heavy and `top`
-            # only needs the headline number.
-            result = record.pop("result", None)
-            if result is not None:
-                if record.get("ipc") is None:
-                    record["ipc"] = result.get("ipc")
-                record.setdefault("cycles", result.get("cycles"))
-                record.setdefault("retired", result.get("retired"))
-            beat = beats.get(record.get("index"))
-            if beat is not None and record.get("status") == "pending":
-                record["heartbeat"] = beat
-        document = {
-            "generated": time.time(),
-            "jobs": jobs,
-            "heartbeats": sorted(beats.values(),
-                                 key=lambda b: b.get("index", 0)),
-        }
+        document = {"generated": time.time(),
+                    **jobs_document(self._jobs_records(), beats)}
         report = getattr(self.engine, "report", None)
         if report is not None:
             document["report"] = report.to_dict()
@@ -349,36 +335,9 @@ class TelemetryServer(HTTPServerThread):
 
     def runs(self) -> dict:
         """The ``/runs`` document: journal run history + current run."""
-        entries: List[dict] = []
         directory = self.telemetry_dir
-        if directory is not None:
-            open_runs: Dict[int, dict] = {}
-            records, _ = read_jsonl(os.path.join(directory, "events.jsonl"))
-            for record in records:
-                event = record.get("event")
-                if event == "run_start":
-                    entry = {
-                        "run": record.get("run"),
-                        "started": record.get("ts"),
-                        "jobs": record.get("jobs"),
-                        "status": "running",
-                    }
-                    open_runs[record.get("run")] = entry
-                    entries.append(entry)
-                elif event == "run_end":
-                    entry = open_runs.pop(record.get("run"), None)
-                    if entry is None:
-                        entry = {"run": record.get("run")}
-                        entries.append(entry)
-                    entry.update({
-                        "finished": record.get("ts"),
-                        "status": record.get("status", "complete"),
-                        "elapsed": record.get("elapsed"),
-                        "cache_hits": record.get("cache_hits"),
-                        "executed": record.get("executed"),
-                        "failed": record.get("failed"),
-                    })
-        document = {"runs": entries, "telemetry_dir": directory}
+        runs = read_journal(directory).runs if directory is not None else []
+        document = {"runs": runs, "telemetry_dir": directory}
         writer = getattr(self.engine, "telemetry", None)
         if writer is not None:
             document["current"] = writer.run_info()

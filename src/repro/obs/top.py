@@ -25,8 +25,14 @@ import time
 from typing import Dict, List, Optional
 
 from repro._http import ServiceUnavailable, get_json
-from repro._jsonfile import read_jsonl
-from repro.obs.heartbeat import HeartbeatMonitor, heartbeat_dir
+from repro.obs.heartbeat import (
+    FINISHES,
+    HeartbeatMonitor,
+    heartbeat_dir,
+    job_record,
+    jobs_document,
+    read_journal,
+)
 from repro.runtime.observe import stream_is_tty
 
 #: Seconds between repaints unless overridden.
@@ -52,17 +58,10 @@ _ANSI_STATUS = {
     "failed": "\x1b[31m",     # red
 }
 
-#: Statuses that mean a job is finished (well or badly).
-_TERMINAL = ("hit", "executed", "resumed", "failed")
-
 
 # ----------------------------------------------------------------------
 # Sources: URL (/jobs document) or telemetry directory (journal+beats).
 # ----------------------------------------------------------------------
-def is_url(source: str) -> bool:
-    return source.startswith(("http://", "https://"))
-
-
 def fetch_url_state(url: str, timeout: float = 5.0) -> dict:
     """Fetch the ``/jobs`` document from a telemetry server; raises
     :class:`~repro._http.ServiceUnavailable` on an error status or a
@@ -79,104 +78,37 @@ def read_dir_state(directory: str,
                    stale_after: Optional[float] = None) -> dict:
     """Build the same document from a telemetry directory.
 
-    Replays ``events.jsonl`` (keeping only the newest run) exactly the
-    way :class:`~repro.obs.manifest.TelemetryWriter` folds job events
-    into records, then merges current heartbeats onto still-pending
-    jobs.  Tolerates a missing or torn journal: an empty document means
-    "no run here yet", not an error.
+    The newest run of the folded journal
+    (:func:`~repro.obs.heartbeat.read_journal`), plus a row for every
+    in-flight job whose heartbeat came before its first journal event,
+    so ``top`` shows workers the moment they start.  Tolerates a missing
+    or torn journal: an empty document means "no run here yet", not an
+    error.
     """
     directory = os.fspath(directory)
-    by_index: Dict[int, dict] = {}
-    run = None
-    status = "waiting"
-    total = None
-    summary: Dict[str, object] = {}
-    records, _ = read_jsonl(os.path.join(directory, "events.jsonl"))
-    for record in records:
-        event = record.get("event")
-        if event == "run_start":
-            by_index = {}
-            run = record.get("run")
-            status = "running"
-            total = record.get("jobs")
-            summary = {}
-        elif event == "job":
-            index = record.get("index")
-            job = by_index.setdefault(index, {
-                "index": index,
-                "label": record.get("label"),
-                "key": record.get("key"),
-                "status": "pending",
-                "retries": 0,
-                "elapsed": 0.0,
-                "ipc": None,
-            })
-            state = record.get("status")
-            if state == "retry":
-                job["retries"] += 1
-                if record.get("reason"):
-                    job["reason"] = record["reason"]
-            elif state == "done":
-                job["status"] = "executed"
-                job["elapsed"] = record.get("elapsed", 0.0)
-                job.pop("reason", None)
-            elif state in ("hit", "resumed", "failed"):
-                job["status"] = state
-                if state == "failed" and record.get("reason"):
-                    job["reason"] = record["reason"]
-            if record.get("ipc") is not None:
-                job["ipc"] = record["ipc"]
-            result = record.get("result")
-            if isinstance(result, dict):
-                job["cycles"] = result.get("cycles")
-                job["retired"] = result.get("retired")
-        elif event == "run_end":
-            status = record.get("status", "complete")
-            summary = {
-                "elapsed": record.get("elapsed"),
-                "cache_hits": record.get("cache_hits"),
-                "executed": record.get("executed"),
-                "retried": record.get("retried"),
-                "failed": record.get("failed"),
-            }
-    monitor = HeartbeatMonitor(heartbeat_dir(directory),
-                               stale_after=stale_after)
-    beats = monitor.by_index()
-    # An in-flight job may have beaten before emitting any journal
-    # event — synthesize its row from the heartbeat so `top` shows
-    # workers the moment they start, not at their first completion.
+    journal = read_journal(directory)
+    beats = HeartbeatMonitor(heartbeat_dir(directory),
+                             stale_after=stale_after).by_index()
+    jobs = journal.jobs
     for index, beat in beats.items():
-        if index not in by_index:
-            by_index[index] = {
-                "index": index,
-                "label": beat.get("label"),
-                "key": beat.get("key"),
-                "status": "pending",
-                "retries": beat.get("attempt", 0),
-                "elapsed": 0.0,
-                "ipc": None,
-            }
-    jobs = [by_index[index] for index in sorted(by_index)]
-    for job in jobs:
-        beat = beats.get(job["index"])
-        if beat is not None and job.get("status") == "pending":
-            job["heartbeat"] = beat
+        if index not in jobs:
+            jobs[index] = job_record(index, beat.get("key"),
+                                     beat.get("label"))
+            jobs[index]["retries"] = beat.get("attempt", 0)
+    run = journal.runs[-1] if journal.runs else {}
     return {
         "source": directory,
         "run": run,
-        "status": status,
-        "total": total,
-        "summary": summary,
-        "jobs": jobs,
-        "heartbeats": sorted(beats.values(),
-                             key=lambda b: b.get("index", 0)),
+        "status": run.get("status", "waiting"),
+        "total": run.get("jobs"),
+        **jobs_document([jobs[index] for index in sorted(jobs)], beats),
     }
 
 
 def load_state(source: str,
                stale_after: Optional[float] = None) -> dict:
     """Dispatch on the source kind: URL or telemetry directory."""
-    if is_url(source):
+    if source.startswith(("http://", "https://")):
         return fetch_url_state(source)
     return read_dir_state(source, stale_after=stale_after)
 
@@ -200,16 +132,16 @@ def _job_row(job: dict) -> dict:
     """Flatten one job record (plus optional heartbeat) for the table."""
     status = job.get("status", "pending")
     beat = job.get("heartbeat")
-    cycles = retired = ipc = rate = age = None
-    interval_ipc = None
+    cycles, retired, ipc = (job.get(field)
+                            for field in ("cycles", "retired", "ipc"))
+    rate = age = interval_ipc = None
     elapsed = job.get("elapsed") or None
     if beat is not None:
+        # Only a pending job carries a heartbeat, and no result yet.
         if status == "pending":
             status = "stale" if beat.get("stale") else "running"
-        cycles = beat.get("cycles")
-        retired = beat.get("retired")
-        ipc = beat.get("ipc")
-        age = beat.get("age")
+        cycles, retired, ipc, age = (
+            beat.get(field) for field in ("cycles", "retired", "ipc", "age"))
         # Windowed IPC from an attached interval recorder (the
         # ``interval`` heartbeat field): the *current* behaviour, vs
         # the cumulative ``ipc`` — preferred for the trend sparkline.
@@ -221,16 +153,6 @@ def _job_row(job: dict) -> dict:
         if cycles and hb_elapsed > 0:
             rate = cycles / hb_elapsed
         elapsed = elapsed or hb_elapsed
-    result = job.get("result")
-    if isinstance(result, dict):
-        cycles = cycles if cycles is not None else result.get("cycles")
-        retired = retired if retired is not None else result.get("retired")
-    if cycles is None:
-        cycles = job.get("cycles")
-    if retired is None:
-        retired = job.get("retired")
-    if ipc is None:
-        ipc = job.get("ipc")
     return {
         "index": job.get("index"),
         "status": status,
@@ -282,7 +204,7 @@ def render_state(document: dict, ansi: bool = False,
     by_status: Dict[str, int] = {}
     for row in jobs:
         by_status[row["status"]] = by_status.get(row["status"], 0) + 1
-    done = sum(by_status.get(status, 0) for status in _TERMINAL)
+    done = sum(by_status.get(status, 0) for status in FINISHES.values())
     hits = by_status.get("hit", 0)
     hit_rate = hits / done if done else 0.0
     retries = sum(row["retries"] for row in jobs)
@@ -292,8 +214,8 @@ def render_state(document: dict, ansi: bool = False,
     run = document.get("run")
     source = document.get("source", "")
     head = f"repro top — {source}"
-    if run is not None:
-        head += f"  (run {run}, {status})"
+    if run:
+        head += f"  (run {run.get('run_id') or run.get('run')}, {status})"
     elif document.get("report") is not None:
         head += f"  ({status})" if status else ""
     lines.append(head)
@@ -413,7 +335,7 @@ def run_top(
         status = document.get("status", "running")
         jobs = document.get("jobs", [])
         finished = bool(jobs) and all(
-            job.get("status") in _TERMINAL for job in jobs)
+            job.get("status") in FINISHES.values() for job in jobs)
         if once:
             return 0
         if status not in ("running", "waiting") or finished:

@@ -6,16 +6,16 @@ the full ``SimResult`` payload on ``done``/``hit``/``resumed`` lines —
 and snapshots ``manifest.json`` on finalize (status ``complete``,
 ``partial``, ``failed``, or ``interrupted``).
 
-:func:`load_resume_state` reads both back under the torn-line rule of
-:mod:`repro._jsonfile` (a killed process leaves a torn final journal
-line, which is skipped and counted), and produces a
-:class:`ResumeState` the engine replays from: any job whose content
-hash appears with a completed result is satisfied from the journal
-without re-execution, everything else (pending cells, quarantined
-failures, the job the run died inside) falls through to the normal
-cache-then-execute path.  Because jobs are content-addressed, resuming
-is safe across process boundaries, reordered job lists, and even
-changed sweeps — only exact-match cells are replayed.
+:func:`load_resume_state` folds the journal's job records
+(:func:`repro.obs.heartbeat.fold_journal`; a killed process leaves a
+torn final line, which is skipped and counted) and reads the
+manifest's after them into a :class:`ResumeState` the engine replays
+from: any job whose content hash has a completed record is satisfied
+from the journal without re-execution, everything else (pending cells,
+quarantined failures, the job the run died inside) falls through to
+the normal cache-then-execute path.  Because jobs are content-addressed,
+resuming is safe across process boundaries, reordered job lists, and
+even changed sweeps — only exact-match cells are replayed.
 """
 
 from __future__ import annotations
@@ -25,9 +25,12 @@ import os
 from typing import Dict, Optional
 
 from repro._jsonfile import parse_jsonl, read_json
-
-#: Journal statuses that mean "this job has a final, correct result".
-_COMPLETED = ("done", "hit", "resumed")
+from repro.obs.heartbeat import (
+    FINISHES,
+    JOURNAL_NAME,
+    MANIFEST_NAME,
+    fold_journal,
+)
 
 
 @dataclasses.dataclass
@@ -40,8 +43,8 @@ class ResumeState:
     #: which case the result cache is the fallback.
     results: Dict[str, Optional[dict]] = dataclasses.field(
         default_factory=dict)
-    #: job key -> failure reason for quarantined jobs (informational;
-    #: failed jobs are always re-attempted on resume).
+    #: job key -> failure reason for quarantined jobs that have no
+    #: result to replay (informational; they are always re-attempted).
     failed: Dict[str, str] = dataclasses.field(default_factory=dict)
     #: Status of the last finalized manifest in the directory, if any.
     manifest_status: Optional[str] = None
@@ -51,10 +54,6 @@ class ResumeState:
     @property
     def completed(self) -> int:
         return len(self.results)
-
-    def result_payload(self, key: str) -> Optional[dict]:
-        """The stored result payload for ``key``, or ``None``."""
-        return self.results.get(key)
 
     def render(self) -> str:
         status = self.manifest_status or "no manifest (killed mid-run)"
@@ -79,38 +78,29 @@ def load_resume_state(directory: str) -> ResumeState:
     there is nothing to resume from.
     """
     directory = os.fspath(directory)
-    events_path = os.path.join(directory, "events.jsonl")
     state = ResumeState(directory=directory)
-    with open(events_path, encoding="utf-8") as handle:
-        records, state.torn_lines = parse_jsonl(handle)
+    with open(os.path.join(directory, JOURNAL_NAME),
+              encoding="utf-8") as handle:
+        lines, state.torn_lines = parse_jsonl(handle)
+    records = fold_journal(lines).records
+    manifest = read_json(os.path.join(directory, MANIFEST_NAME))
+    if manifest:
+        state.manifest_status = manifest.get("status")
+        # Manifest job records can carry payloads the journal lacks
+        # (e.g. a pre-v3 journal finalized by a newer writer).
+        records += manifest.get("jobs", ())
     for record in records:
-        if record.get("event") != "job":
-            continue
         key = record.get("key")
         if not key:
             continue  # ad-hoc Program jobs are not resumable
         status = record.get("status")
-        if status in _COMPLETED:
+        if status == "failed":
+            if key not in state.results:
+                state.failed[key] = record.get("reason") or "failed"
+        elif status in FINISHES.values():
             # Keep the richest payload seen for the key.
             payload = record.get("result")
             if payload is not None or key not in state.results:
                 state.results[key] = payload
             state.failed.pop(key, None)
-        elif status == "failed":
-            state.failed[key] = record.get("reason") or "failed"
-
-    manifest = read_json(os.path.join(directory, "manifest.json"))
-    if manifest:
-        state.manifest_status = manifest.get("status")
-        # Manifest job records can carry payloads the journal lacks
-        # (e.g. a pre-v3 journal finalized by a newer writer).
-        for record in manifest.get("jobs", ()):
-            key = record.get("key")
-            if not key:
-                continue
-            if record.get("status") in ("executed", "hit", "resumed"):
-                payload = record.get("result")
-                if payload is not None or key not in state.results:
-                    state.results[key] = payload
-                state.failed.pop(key, None)
     return state

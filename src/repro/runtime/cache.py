@@ -82,6 +82,9 @@ from repro.runtime.settings import (
 #: Seconds allowed for one remote cache-backend HTTP round trip.
 REMOTE_TIMEOUT = 5.0
 
+#: The digits of a cache key (a SHA-256 hex digest).
+_HEX = frozenset("0123456789abcdef")
+
 #: Counter fields tracked per cache, per shard, and persistently.
 _COUNTER_FIELDS = ("hits", "misses", "stores", "corrupt", "evicted",
                    "migrated", "remote_hits", "remote_errors")
@@ -333,9 +336,10 @@ class ResultCache:
         Returns the full on-disk document (``{"schema", "job",
         "result", "elapsed"}``) or ``None``; counts a hit/miss like
         :meth:`load` but never consults the remote tier (the service
-        must not call itself).
+        must not call itself).  A ``key`` that is not lowercase hex
+        cannot name an entry and is ``None`` without a lookup.
         """
-        if not self.enabled:
+        if not self.enabled or not key or not _HEX.issuperset(key):
             return None
         shard = self.shard_index(key)
         path = self.path_for_key(key)

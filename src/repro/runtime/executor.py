@@ -71,7 +71,13 @@ import repro.assign.slot  # noqa: F401
 import repro.assign.static_pc  # noqa: F401
 import repro.core.simulator  # noqa: F401
 from repro.core.result import SimResult
-from repro.obs.heartbeat import HeartbeatMonitor, HeartbeatWriter, heartbeat_dir
+from repro.obs.heartbeat import (
+    FINISHES,
+    HeartbeatMonitor,
+    HeartbeatWriter,
+    clear_heartbeats,
+    heartbeat_dir,
+)
 from repro.obs.manifest import TelemetryWriter, new_run_id
 from repro.obs.spans import SpanRecorder, TraceContext
 from repro.resilience.faults import FaultPlan, InjectedFault
@@ -90,9 +96,6 @@ from repro.runtime.settings import (
     resolve_timeout,
     resolve_trace_dir,
 )
-
-#: Job statuses that end a job's trace (everything except ``retry``).
-_TERMINAL_STATUSES = frozenset({"resumed", "hit", "done", "failed"})
 
 #: Re-exported so tests (and exotic callers) can substitute the pool class.
 ProcessPoolExecutor = concurrent.futures.ProcessPoolExecutor
@@ -231,25 +234,6 @@ def _run_job(
     return result, elapsed
 
 
-def _clear_heartbeats(directory: str) -> None:
-    """Drop heartbeat records left by a previous run in this directory.
-
-    Without this a fresh run could read a finished run's last record
-    (same index, same attempt number) and flag a worker stale before it
-    ever beats.
-    """
-    try:
-        names = os.listdir(directory)
-    except OSError:
-        return
-    for name in names:
-        if name.startswith("hb-") and name.endswith(".json"):
-            try:
-                os.remove(os.path.join(directory, name))
-            except OSError:
-                pass
-
-
 class ExperimentEngine:
     """Parallel, cached, fault-tolerant executor for simulation batches."""
 
@@ -355,7 +339,7 @@ class ExperimentEngine:
         if self.telemetry is None and self.heartbeat_cycles > 0:
             # No run directory to piggyback on: heartbeats go to a
             # private temp dir that only this exporter reads.
-            self._hb_tmp = tempfile.mkdtemp(prefix="repro-hb-")
+            self._hb_tmp = tempfile.mkdtemp(prefix="repro-heartbeats-")
         server = TelemetryServer(
             port=port,
             engine=self,
@@ -407,7 +391,9 @@ class ExperimentEngine:
         self._monitor = None
         hb_dir = self._heartbeat_directory()
         if hb_dir is not None:
-            _clear_heartbeats(hb_dir)
+            # A previous run's last record (same index, same attempt)
+            # would otherwise read as a worker gone stale before it beat.
+            clear_heartbeats(hb_dir)
             self._monitor = HeartbeatMonitor(
                 hb_dir, stale_after=self.stale_after)
         started = time.perf_counter()
@@ -516,7 +502,7 @@ class ExperimentEngine:
     def _replay(self, job: SimJob) -> Optional[SimResult]:
         if self.resume is None or not job.cacheable:
             return None
-        payload = self.resume.result_payload(job.key)
+        payload = self.resume.results.get(job.key)
         if payload is None:
             return None
         try:
@@ -880,7 +866,7 @@ class ExperimentEngine:
 
     def _emit(self, report, index, job, status, elapsed, source,
               result=None, reason=None) -> None:
-        if status in _TERMINAL_STATUSES:
+        if status in FINISHES:
             self._trace_finish(index, job, status, elapsed, source)
         if self.progress is None and self.telemetry is None:
             return

@@ -19,11 +19,6 @@ from typing import Callable, List, Optional, TextIO
 from repro.core.result import SimResult
 from repro.runtime.job import SimJob
 
-#: Event statuses, in the order a job can experience them.
-#: 'resumed' = replayed from a journal checkpoint, 'failed' = the job
-#: exhausted its retries and was quarantined.
-STATUSES = ("resumed", "hit", "retry", "done", "failed")
-
 
 @dataclasses.dataclass(frozen=True)
 class JobEvent:
@@ -32,7 +27,10 @@ class JobEvent:
     index: int          #: position of the job in the submitted sequence
     total: int          #: total jobs in this run
     job: SimJob
-    status: str         #: one of :data:`STATUSES`
+    #: ``retry``, or a key of :data:`repro.obs.heartbeat.FINISHES`:
+    #: ``resumed`` = replayed from a journal checkpoint, ``failed`` =
+    #: the job exhausted its retries and was quarantined.
+    status: str
     elapsed: float      #: seconds spent on this attempt (0 for hits)
     completed: int      #: jobs finished so far (hits + executions)
     source: str         #: 'cache', 'inline', 'pool', 'journal', or

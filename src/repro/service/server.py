@@ -66,9 +66,12 @@ import time
 from collections import OrderedDict
 from typing import Optional
 
-from repro._jsonfile import write_json_atomic
 from repro.core.result import SimResult
-from repro.obs.heartbeat import HEARTBEAT_FIELDS, heartbeat_dir
+from repro.obs.heartbeat import (
+    HEARTBEAT_FIELDS,
+    heartbeat_dir,
+    store_heartbeat,
+)
 from repro.obs.metrics import Histogram
 from repro.obs.server import PrometheusText, Route, TelemetryServer
 from repro.obs.spans import (
@@ -504,24 +507,23 @@ class ServiceServer(TelemetryServer):
         The body is an :mod:`repro.obs.heartbeat` record plus ``key`` /
         ``worker`` routing fields.  It is rewritten server-side with the
         server's clock so staleness math never trusts a remote clock,
-        then stored as ``heartbeats/hb-<index>.json`` — the exact
-        channel HeartbeatMonitor, ``/metrics``, and ``repro top`` read.
+        then stored through :func:`~repro.obs.heartbeat.store_heartbeat`
+        — the exact channel HeartbeatMonitor, ``/metrics``, and
+        ``repro top`` read — unless it names no job index (400).
         """
-        key = body.get("key")
-        renewed = False
-        if isinstance(key, str):
-            renewed = self.queue.renew(key, worker=body.get("worker"))
         record = {field: body[field] for field in HEARTBEAT_FIELDS
                   if body.get(field) is not None}
         record["ts"] = time.time()
-        index = record.get("index", 0)
-        directory = heartbeat_dir(self.data_dir)
         try:
-            os.makedirs(directory, exist_ok=True)
-            write_json_atomic(os.path.join(directory, f"hb-{index}.json"),
-                              record)
+            store_heartbeat(heartbeat_dir(self.data_dir),
+                            body.get("index", 0), record)
+        except ValueError as error:
+            return 400, {"error": str(error)}
         except OSError:
             pass  # a sick disk degrades observability, not scheduling
+        key = body.get("key")
+        renewed = isinstance(key, str) and self.queue.renew(
+            key, worker=body.get("worker"))
         return 200, {"renewed": renewed}
 
     # ------------------------------------------------------------------

@@ -52,7 +52,8 @@ def test_service_processes_load_no_simulator_or_client(module):
     modules = loaded_after(f"import {module}")
     assert loaded_prefixes(modules, "repro.core.pipeline",
                            "repro.workloads.generator",
-                           "repro.service.client") == []
+                           "repro.service.client", "repro.obs.manifest",
+                           "repro.obs.top", "repro.resilience") == []
 
 
 def test_jsonfile_is_a_leaf():

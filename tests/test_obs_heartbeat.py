@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from repro.assign.base import StrategySpec
 from repro.cluster.config import MachineConfig
 from repro.core.simulator import Simulator
@@ -13,6 +15,7 @@ from repro.obs.heartbeat import (
     HeartbeatWriter,
     heartbeat_dir,
     read_heartbeats,
+    store_heartbeat,
 )
 
 
@@ -106,6 +109,17 @@ class TestHeartbeatWriter:
 class TestReadHeartbeats:
     def test_missing_directory_is_empty(self, tmp_path):
         assert read_heartbeats(str(tmp_path / "nope")) == []
+
+    def test_skips_records_without_a_job_index(self, tmp_path):
+        HeartbeatWriter(str(tmp_path), index=0, label="a")
+        (tmp_path / "hb-x.json").write_text('{"index": "x", "ts": 1.0}')
+        assert [r["index"] for r in read_heartbeats(str(tmp_path))] == [0]
+
+    def test_store_refuses_an_index_that_names_no_job(self, tmp_path):
+        for index in ("x", -1, True):
+            with pytest.raises(ValueError):
+                store_heartbeat(str(tmp_path), index, {"index": index})
+        assert os.listdir(str(tmp_path)) == []
 
     def test_skips_torn_and_foreign_files(self, tmp_path):
         HeartbeatWriter(str(tmp_path), index=1, label="a")

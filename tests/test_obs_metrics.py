@@ -2,6 +2,7 @@
 
 import io
 import json
+import urllib.request
 
 import pytest
 
@@ -93,6 +94,28 @@ class TestExport:
         # Sorted by name for deterministic diffs.
         assert [r["name"] for r in records] == sorted(
             r["name"] for r in records)
+
+    def test_prometheus_scrape_takes_any_label_name(self):
+        from repro.obs.server import PrometheusText, TelemetryServer
+
+        registry = MetricsRegistry()
+        registry.gauge("queue.size", kind="a", value="b").set(3)
+        registry.histogram("wait", buckets=(1,), kind="c",
+                           summary="d").observe(0.5)
+        server = TelemetryServer(registry=registry)
+        server.start()
+        try:
+            with urllib.request.urlopen(server.url + "/metrics",
+                                        timeout=10) as response:
+                assert response.status == 200
+                text = response.read().decode("utf-8")
+        finally:
+            server.stop()
+        assert 'repro_queue_size{kind="a",value="b"} 3' in text
+        assert 'repro_wait{kind="c",quantile="0.5",summary="d"}' in text
+        sample = PrometheusText()
+        sample.sample("x", "gauge", 1, name="n")
+        assert sample.render() == '# TYPE repro_x gauge\nrepro_x{name="n"} 1\n'
 
     def test_jsonl_to_path(self, tmp_path):
         registry = MetricsRegistry()

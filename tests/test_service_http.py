@@ -218,6 +218,19 @@ class TestWorkerProtocol:
         directory = os.path.join(server.data_dir, "heartbeats")
         assert os.listdir(directory) == []
 
+    @pytest.mark.parametrize("index", ["x", -1, 1.5, True, None])
+    def test_heartbeat_without_a_job_index_is_refused(self, server, index):
+        status, document = post(server.url, "/heartbeat", {
+            "index": index, "cycles": 500, "schema": 1, "pid": 12345,
+        })
+        assert status == 400 and "index" in document["error"]
+        assert not os.path.exists(os.path.join(server.data_dir,
+                                               "heartbeats"))
+        for path in ("/metrics", "/jobs"):
+            with urllib.request.urlopen(server.url + path,
+                                        timeout=10) as response:
+                assert response.status == 200
+
     def test_heartbeat_interval_window_reaches_metrics(self, server):
         # A worker running with an interval recorder rides its last
         # window on the heartbeat; the service re-exports it as
@@ -266,6 +279,12 @@ class TestWorkerProtocol:
     def test_cache_endpoint_misses_cleanly(self, server):
         status, document = get(server.url, "/cache/" + "f" * 64)
         assert status == 404 and "miss" in document["error"]
+
+    @pytest.mark.parametrize("path", ["/jobs/unknown", "/cache/unknown",
+                                      "/jobs/../queue", "/cache/-1"])
+    def test_a_string_that_cannot_be_a_key_is_unknown(self, server, path):
+        status, document = get(server.url, path)
+        assert status == 404 and "error" in document
 
 
 class TestStatusSnapshot:
