@@ -27,20 +27,15 @@ are best-effort: a full disk degrades heartbeats (counted in
 hook only *reads* pipeline state, so simulated results are
 byte-identical with heartbeats on or off.  :func:`store_heartbeat`
 writes a record's file for workers and ``POST /heartbeat`` alike.
-
-Every reader of a telemetry directory folds its journal,
-``events.jsonl``, with :func:`fold_journal`: the one reader lives here
-because every process that reads the directory loads this stdlib-only
-module, and none may load the writer's ``subprocess``.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Dict, Iterable, List, NamedTuple, Optional
+from typing import Dict, List, Optional
 
-from repro._jsonfile import read_json, read_jsonl, write_json_atomic
+from repro._jsonfile import read_json, write_json_atomic
 
 #: Heartbeat record layout; bump on incompatible changes.
 HEARTBEAT_SCHEMA_VERSION = 1
@@ -265,137 +260,3 @@ class HeartbeatMonitor:
                     continue
             flagged.append(record)
         return flagged
-
-
-# ----------------------------------------------------------------------
-# The run journal (``events.jsonl``) read back.
-# ----------------------------------------------------------------------
-#: File names of a telemetry directory's journal and run manifest.
-JOURNAL_NAME = "events.jsonl"
-MANIFEST_NAME = "manifest.json"
-
-#: The journal's job-event statuses that finish a job, each mapped to
-#: the record status it sets.  All but ``failed`` finish it with a
-#: result.  The one other event status, ``retry``, finishes nothing.
-FINISHES = {"hit": "hit", "done": "executed", "resumed": "resumed",
-            "failed": "failed"}
-
-#: Job-record statuses: ``pending`` until an event finishes the job.
-JOB_STATES = ("pending", *FINISHES.values())
-
-#: The totals a ``run_end`` line carries.
-RUN_TOTALS = ("elapsed", "cache_hits", "executed", "retried", "resumed",
-              "failed")
-
-
-def job_record(index: int, key: Optional[str],
-               label: Optional[str]) -> dict:
-    """A job record before any event has reached it."""
-    return {"index": index, "key": key, "label": label,
-            "status": "pending", "retries": 0, "elapsed": 0.0,
-            "result": None}
-
-
-def apply_job_event(record: dict, status: str, elapsed: float = 0.0,
-                    reason: Optional[str] = None,
-                    result: Optional[dict] = None) -> None:
-    """Fold one job event into its job record.
-
-    ``retry`` counts up, and a finishing event sets the status
-    :data:`FINISHES` maps it to.  ``done`` also records its ``elapsed``
-    seconds and clears the reason; any other event keeps its reason
-    (the engine gives one to every ``retry`` and ``failed``).
-    ``result`` is the ``SimResult.to_dict`` payload, if any.
-    """
-    if status == "retry":
-        record["retries"] += 1
-    elif status in FINISHES:
-        record["status"] = FINISHES[status]
-    if status == "done":
-        record["elapsed"] = elapsed
-        record.pop("reason", None)
-    elif reason:
-        record["reason"] = reason
-    if result is not None:
-        record["result"] = result
-
-
-class Journal(NamedTuple):
-    """A folded journal: its runs, oldest first (``run``, ``run_id``,
-    ``started``, ``jobs``, ``status``, and from the ``run_end`` line
-    ``finished`` and :data:`RUN_TOTALS`), the newest run's job records
-    by index, and every run's job records, oldest run first."""
-
-    runs: List[dict]
-    jobs: Dict[int, dict]
-    records: List[dict]
-
-
-def fold_journal(lines: Iterable[dict]) -> Journal:
-    """Fold parsed journal lines into runs and job records.
-
-    Runs are keyed by ``run_id``; only a line without one falls back to
-    its ``run`` number.  A job line folds into the record of its index
-    in the run whose ``run_start`` came last.
-    """
-    runs: List[dict] = []
-    by_run: Dict[object, dict] = {}
-    jobs: Dict[int, dict] = {}
-    records: List[dict] = []
-    for line in lines:
-        event = line.get("event")
-        run = line.get("run_id") or line.get("run")
-        if event == "job" and is_job_index(line.get("index")):
-            record = jobs.get(line["index"])
-            if record is None:
-                record = jobs[line["index"]] = job_record(
-                    line["index"], line.get("key"), line.get("label"))
-                records.append(record)
-            apply_job_event(record, line.get("status"),
-                            line.get("elapsed", 0.0), line.get("reason"),
-                            line.get("result"))
-        elif event == "run_start":
-            jobs = {}
-            by_run[run] = {"run": line.get("run"),
-                           "run_id": line.get("run_id"),
-                           "started": line.get("ts"),
-                           "jobs": line.get("jobs"), "status": "running"}
-            runs.append(by_run[run])
-        elif event == "run_end":
-            if run not in by_run:
-                by_run[run] = {"run": line.get("run"),
-                               "run_id": line.get("run_id")}
-                runs.append(by_run[run])
-            by_run[run].update(finished=line.get("ts"),
-                               status=line.get("status", "complete"))
-            by_run[run].update((total, line.get(total))
-                               for total in RUN_TOTALS)
-    return Journal(runs, jobs, records)
-
-
-def read_journal(telemetry_dir: str) -> Journal:
-    """The folded journal of ``telemetry_dir``, read under the torn-line
-    rule of :mod:`repro._jsonfile` (a missing journal is empty)."""
-    lines, _ = read_jsonl(os.path.join(telemetry_dir, JOURNAL_NAME))
-    return fold_journal(lines)
-
-
-def jobs_document(records: List[dict], beats: Dict[int, dict]) -> dict:
-    """The ``jobs`` and ``heartbeats`` of a ``/jobs`` document.
-
-    Each record's ``result`` payload gives way to its ``ipc``,
-    ``cycles`` and ``retired``, and a pending record carries its job's
-    newest heartbeat.  ``records`` are changed in place.
-    """
-    for record in records:
-        result = record.pop("result", None)
-        if result is not None:
-            if record.get("ipc") is None:
-                record["ipc"] = result.get("ipc")
-            record.setdefault("cycles", result.get("cycles"))
-            record.setdefault("retired", result.get("retired"))
-        beat = beats.get(record.get("index"))
-        if beat is not None and record.get("status") == "pending":
-            record["heartbeat"] = beat
-    return {"jobs": records,
-            "heartbeats": sorted(beats.values(), key=lambda b: b["index"])}

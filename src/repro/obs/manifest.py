@@ -12,8 +12,8 @@ artifacts under a telemetry directory:
     the directory, and because completed lines carry results it doubles
     as the *journal* that ``repro sweep --resume`` replays
     (:mod:`repro.resilience.resume`).  Every reader folds it with
-    :func:`repro.obs.heartbeat.fold_journal`, through the same
-    :func:`~repro.obs.heartbeat.apply_job_event` rule this writer
+    :func:`repro.obs.journal.fold_journal`, through the same
+    :func:`~repro.obs.journal.apply_job_event` rule this writer
     applies to its live job records.
 
 ``manifest.json``
@@ -52,7 +52,7 @@ import uuid
 from typing import List, Optional
 
 from repro._jsonfile import append_jsonl, write_json_atomic
-from repro.obs.heartbeat import (
+from repro.obs.journal import (
     JOURNAL_NAME,
     MANIFEST_NAME,
     RUN_TOTALS,

@@ -26,7 +26,7 @@ Endpoints:
     document ``repro top URL`` renders.
 ``/runs``
     JSON: the runs of the folded ``events.jsonl`` (one entry per
-    ``run_id``, see :func:`repro.obs.heartbeat.fold_journal`) plus the
+    ``run_id``, see :func:`repro.obs.journal.fold_journal`) plus the
     current run.
 ``/healthz``
     JSON liveness probe (200 + uptime).
@@ -65,11 +65,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro._jsonfile import read_json
-from repro.obs.heartbeat import (
+from repro.obs.heartbeat import HeartbeatMonitor, heartbeat_dir
+from repro.obs.journal import (
     JOB_STATES,
     MANIFEST_NAME,
-    HeartbeatMonitor,
-    heartbeat_dir,
     jobs_document,
     read_journal,
 )

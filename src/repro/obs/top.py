@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from typing import Dict, List, Optional
 
 from repro._http import ServiceUnavailable, get_json
-from repro.obs.heartbeat import (
+from repro.obs.heartbeat import HeartbeatMonitor, heartbeat_dir
+from repro.obs.journal import (
     FINISHES,
-    HeartbeatMonitor,
-    heartbeat_dir,
     job_record,
     jobs_document,
     read_journal,
@@ -79,7 +79,7 @@ def read_dir_state(directory: str,
     """Build the same document from a telemetry directory.
 
     The newest run of the folded journal
-    (:func:`~repro.obs.heartbeat.read_journal`), plus a row for every
+    (:func:`~repro.obs.journal.read_journal`), plus a row for every
     in-flight job whose heartbeat came before its first journal event,
     so ``top`` shows workers the moment they start.  Tolerates a missing
     or torn journal: an empty document means "no run here yet", not an
@@ -117,15 +117,11 @@ def load_state(source: str,
 # Rendering.
 # ----------------------------------------------------------------------
 def _fmt_int(value) -> str:
-    if value is None:
-        return "-"
-    return f"{int(value):,}"
+    return "-" if value is None else f"{int(value):,}"
 
 
 def _fmt_float(value, digits: int = 3) -> str:
-    if value is None:
-        return "-"
-    return f"{value:.{digits}f}"
+    return "-" if value is None else f"{value:.{digits}f}"
 
 
 def _job_row(job: dict) -> dict:
@@ -201,9 +197,7 @@ def render_state(document: dict, ansi: bool = False,
     """
     jobs = [_job_row(job) for job in document.get("jobs", [])]
     total = document.get("total") or len(jobs)
-    by_status: Dict[str, int] = {}
-    for row in jobs:
-        by_status[row["status"]] = by_status.get(row["status"], 0) + 1
+    by_status = Counter(row["status"] for row in jobs)
     done = sum(by_status.get(status, 0) for status in FINISHES.values())
     hits = by_status.get("hit", 0)
     hit_rate = hits / done if done else 0.0
@@ -296,35 +290,31 @@ def run_top(
     refreshes = 0
     trends: Dict[int, List[float]] = {}
     while True:
-        try:
-            document = load_state(source, stale_after=stale_after)
-        except ServiceUnavailable as error:
-            # Only a URL source raises (the directory reader tolerates
-            # missing and torn files).  A server mid-restart (or a
-            # network blip) deserves a few retries before we conclude
-            # anything.
-            document = None
-            delay = URL_BACKOFF
-            for _ in range(URL_RETRIES):
+        # Only a URL source raises (the directory reader tolerates
+        # missing and torn files).  A server mid-restart (or a network
+        # blip) deserves a few retries before we conclude anything.
+        document, delay = None, URL_BACKOFF
+        for attempt in range(URL_RETRIES + 1):
+            try:
+                document = load_state(source, stale_after=stale_after)
+                break
+            except ServiceUnavailable as failure:
+                error = failure
+            if attempt < URL_RETRIES:
                 _sleep(delay)
                 delay *= 2
-                try:
-                    document = load_state(source, stale_after=stale_after)
-                    break
-                except ServiceUnavailable as retry_error:
-                    error = retry_error
-            if document is None:
-                if refreshes:
-                    # We were watching a live run and the server went
-                    # away — the usual end of a `--serve` sweep, whose
-                    # server dies with the run.  That is a clean finish.
-                    print(f"repro top: lost contact with {source} "
-                          f"({error}); assuming the run ended",
-                          file=sys.stderr)
-                    return 0
-                print(f"repro top: cannot connect to {source} ({error})",
+        if document is None:
+            if refreshes:
+                # We were watching a live run and the server went
+                # away — the usual end of a `--serve` sweep, whose
+                # server dies with the run.  That is a clean finish.
+                print(f"repro top: lost contact with {source} "
+                      f"({error}); assuming the run ended",
                       file=sys.stderr)
-                return 1
+                return 0
+            print(f"repro top: cannot connect to {source} ({error})",
+                  file=sys.stderr)
+            return 1
         update_trends(document, trends)
         rendered = render_state(document, ansi=ansi, trends=trends)
         if ansi:

@@ -7,7 +7,7 @@ and snapshots ``manifest.json`` on finalize (status ``complete``,
 ``partial``, ``failed``, or ``interrupted``).
 
 :func:`load_resume_state` folds the journal's job records
-(:func:`repro.obs.heartbeat.fold_journal`; a killed process leaves a
+(:func:`repro.obs.journal.fold_journal`; a killed process leaves a
 torn final line, which is skipped and counted) and reads the
 manifest's after them into a :class:`ResumeState` the engine replays
 from: any job whose content hash has a completed record is satisfied
@@ -25,7 +25,7 @@ import os
 from typing import Dict, Optional
 
 from repro._jsonfile import parse_jsonl, read_json
-from repro.obs.heartbeat import (
+from repro.obs.journal import (
     FINISHES,
     JOURNAL_NAME,
     MANIFEST_NAME,

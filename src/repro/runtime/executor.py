@@ -72,12 +72,12 @@ import repro.assign.static_pc  # noqa: F401
 import repro.core.simulator  # noqa: F401
 from repro.core.result import SimResult
 from repro.obs.heartbeat import (
-    FINISHES,
     HeartbeatMonitor,
     HeartbeatWriter,
     clear_heartbeats,
     heartbeat_dir,
 )
+from repro.obs.journal import FINISHES
 from repro.obs.manifest import TelemetryWriter, new_run_id
 from repro.obs.spans import SpanRecorder, TraceContext
 from repro.resilience.faults import FaultPlan, InjectedFault

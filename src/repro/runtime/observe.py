@@ -27,7 +27,7 @@ class JobEvent:
     index: int          #: position of the job in the submitted sequence
     total: int          #: total jobs in this run
     job: SimJob
-    #: ``retry``, or a key of :data:`repro.obs.heartbeat.FINISHES`:
+    #: ``retry``, or a key of :data:`repro.obs.journal.FINISHES`:
     #: ``resumed`` = replayed from a journal checkpoint, ``failed`` =
     #: the job exhausted its retries and was quarantined.
     status: str

@@ -516,7 +516,7 @@ class ServiceServer(TelemetryServer):
         record["ts"] = time.time()
         try:
             store_heartbeat(heartbeat_dir(self.data_dir),
-                            body.get("index", 0), record)
+                            body.get("index"), record)
         except ValueError as error:
             return 400, {"error": str(error)}
         except OSError:

@@ -12,7 +12,7 @@ from repro.assign.base import StrategySpec
 from repro.cli import main
 from repro.cluster.config import MachineConfig
 from repro.core.result import SimResult
-from repro.obs.heartbeat import read_journal
+from repro.obs.journal import read_journal
 from repro.obs.manifest import TelemetryWriter
 from repro.obs.server import TelemetryServer
 from repro.obs.top import run_top
@@ -165,3 +165,32 @@ class TestResumedDirectory:
         rendered = out.getvalue()
         assert f"(run {runs[1]['run_id']}, complete)" in rendered
         assert "resumed 2" in rendered
+
+    def test_a_torn_tail_keeps_each_result_on_its_own_key(self, tmp_path,
+                                                           capsys):
+        telemetry = tmp_path / "telemetry"
+        directory = str(telemetry)
+        assert main(self.SWEEP + ["--telemetry-dir", directory]) == 0
+        # A killed writer's torn last line swallows the next run_start.
+        damaged_journal(telemetry, runs=0)
+        reordered = self.SWEEP[:4] + ["fdrt,base"] + self.SWEEP[5:]
+        assert main(reordered + ["--resume", directory]) == 0
+        capsys.readouterr()
+        runs = TelemetryServer(telemetry_dir=directory).runs()["runs"]
+        assert len(runs) == 2 and runs[0]["run_id"] != runs[1]["run_id"]
+        assert "started" not in runs[1] and runs[1]["resumed"] == 2
+        labels = {job.key: job.spec.label for job in (
+            SimJob(benchmark="gzip", spec=StrategySpec(kind=kind),
+                   config=MachineConfig(), **TINY)
+            for kind in ("base", "fdrt"))}
+        newest = read_journal(directory).jobs
+        assert [newest[index]["key"] for index in (0, 1)] == list(labels)[::-1]
+        for record in newest.values():
+            assert record["result"]["strategy"] == labels[record["key"]]
+        # As if the resumed run had died before its manifest: the
+        # journal alone must still give each key its own result.
+        os.remove(os.path.join(directory, "manifest.json"))
+        state = load_resume_state(directory)
+        assert sorted(state.results) == sorted(labels)
+        for key, payload in state.results.items():
+            assert payload["strategy"] == labels[key]

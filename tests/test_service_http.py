@@ -218,11 +218,12 @@ class TestWorkerProtocol:
         directory = os.path.join(server.data_dir, "heartbeats")
         assert os.listdir(directory) == []
 
-    @pytest.mark.parametrize("index", ["x", -1, 1.5, True, None])
+    @pytest.mark.parametrize("index", ["x", -1, 1.5, True, None, "absent"])
     def test_heartbeat_without_a_job_index_is_refused(self, server, index):
-        status, document = post(server.url, "/heartbeat", {
-            "index": index, "cycles": 500, "schema": 1, "pid": 12345,
-        })
+        body = {"cycles": 500, "schema": 1, "pid": 12345}
+        if index != "absent":
+            body["index"] = index
+        status, document = post(server.url, "/heartbeat", body)
         assert status == 400 and "index" in document["error"]
         assert not os.path.exists(os.path.join(server.data_dir,
                                                "heartbeats"))
