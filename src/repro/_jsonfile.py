@@ -81,9 +81,18 @@ def read_json(path: str) -> Optional[dict]:
 
 def append_jsonl(path: str, record: dict, fsync: bool = False) -> None:
     """Append ``record`` to the journal at ``path`` as one line, in one
-    ``write``; with ``fsync`` the line is on disk when this returns."""
-    line = json.dumps(record, sort_keys=True) + "\n"
-    with open(path, "a", encoding="utf-8") as handle:
+    ``write``; with ``fsync`` the line is on disk when this returns.
+
+    A torn tail (a last byte other than a newline) gets its newline in
+    the same ``write``, so it stays its own skipped line instead of
+    swallowing ``record``."""
+    line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+    with open(path, "a+b") as handle:
+        end = handle.seek(0, os.SEEK_END)
+        if end:
+            handle.seek(end - 1)
+            if handle.read(1) != b"\n":
+                line = b"\n" + line
         handle.write(line)
         if fsync:
             handle.flush()

@@ -119,14 +119,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list the benchmark catalog")
 
     def jobs_arg(value):
-        if value != "auto":
-            try:
-                int(value)
-            except ValueError:
-                raise argparse.ArgumentTypeError(
-                    f"invalid worker count {value!r} "
-                    "(expected an integer or 'auto')")
-        return value
+        from repro.runtime.settings import parse
+
+        try:
+            return parse("jobs", value, "--jobs")
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
 
     def add_runtime(p):
         p.add_argument("--jobs", default=None, metavar="N", type=jobs_arg,
@@ -868,9 +866,9 @@ def _cmd_top(args) -> int:
 
 
 def _resolve_url(args) -> Optional[str]:
-    from repro.runtime.settings import resolve_service_url
+    from repro.runtime.settings import setting
 
-    url = resolve_service_url(args.url)
+    url = setting("service_url", args.url)
     if url is None:
         print("error: no service URL (give one, or set "
               "$REPRO_SERVICE_URL)", file=sys.stderr)
@@ -936,7 +934,7 @@ def _cmd_service(args) -> int:
     import time as _time
 
     from repro.runtime import ResultCache
-    from repro.runtime.settings import resolve_queue_limit
+    from repro.runtime.settings import setting
     from repro.service import DEFAULT_LEASE_SECONDS, ServiceServer
 
     try:
@@ -950,7 +948,7 @@ def _cmd_service(args) -> int:
         args.data_dir, port=args.port, host=args.host, cache=cache,
         lease_seconds=(args.lease if args.lease is not None
                        else DEFAULT_LEASE_SECONDS),
-        max_depth=resolve_queue_limit(args.max_depth),
+        max_depth=setting("queue_limit", args.max_depth),
         faults=faults,
     )
     # SIGTERM = graceful drain: stop granting claims, shed new
@@ -1271,14 +1269,14 @@ def _cmd_timeline(args) -> int:
         IntervalRecorder,
     )
     from repro.runtime.observe import stream_is_tty
-    from repro.runtime.settings import resolve_interval_cycles
+    from repro.runtime.settings import setting
 
     if (args.benchmark is None) == (args.phased is None):
         print("error: give a benchmark or --phased KINDS (not both)",
               file=sys.stderr)
         return 2
     try:
-        interval = resolve_interval_cycles(args.interval_cycles)
+        interval = setting("interval_cycles", args.interval_cycles)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -13,24 +13,18 @@ result cache (``REPRO_CACHE_DIR`` / ``REPRO_NO_CACHE``) — see
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.assign.base import StrategySpec
 from repro.cluster.config import MachineConfig
 from repro.core.simulator import SimResult
-
-
-def _env_int(name: str, default: int) -> int:
-    value = os.environ.get(name)
-    return int(value) if value else default
-
+from repro.runtime.settings import setting
 
 #: Default measurement budget per run (instructions).
-DEFAULT_INSTRUCTIONS = _env_int("REPRO_BENCH_INSTRUCTIONS", 40_000)
+DEFAULT_INSTRUCTIONS = setting("bench_instructions")
 #: Default warmup budget per run (instructions); warming the predictor,
 #: caches and trace cache matters more than long measurement here.
-DEFAULT_WARMUP = _env_int("REPRO_BENCH_WARMUP", 30_000)
+DEFAULT_WARMUP = setting("bench_warmup")
 
 
 def harmonic_mean(values: Sequence[float]) -> float:

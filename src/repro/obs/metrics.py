@@ -5,8 +5,8 @@ instrument is addressed by name plus an optional label set::
 
     registry = MetricsRegistry()
     registry.counter("fetch.packets", source="tc").inc()
-    registry.histogram("dispatch.forward_distance",
-                       buckets=(0, 1, 2, 4), cluster=2).observe(1)
+    registry.histogram("dispatch.forward_distance", (0, 1, 2, 4),
+                       cluster=2).observe(1)
     registry.to_dict()   # {"counters": {...}, "gauges": ..., ...}
 
 A registry built with ``enabled=False`` hands out shared null
@@ -195,7 +195,7 @@ class MetricsRegistry:
     def _key(name: str, labels: dict) -> Tuple[str, LabelItems]:
         return name, tuple(sorted((k, str(v)) for k, v in labels.items()))
 
-    def counter(self, name: str, **labels) -> Counter:
+    def counter(self, name: str, /, **labels) -> Counter:
         if not self.enabled:
             return _NULL  # type: ignore[return-value]
         key = self._key(name, labels)
@@ -204,7 +204,7 @@ class MetricsRegistry:
             instrument = self._counters[key] = Counter()
         return instrument
 
-    def gauge(self, name: str, **labels) -> Gauge:
+    def gauge(self, name: str, /, **labels) -> Gauge:
         if not self.enabled:
             return _NULL  # type: ignore[return-value]
         key = self._key(name, labels)
@@ -214,7 +214,8 @@ class MetricsRegistry:
         return instrument
 
     def histogram(
-        self, name: str, buckets: Optional[Sequence[float]] = None, **labels,
+        self, name: str, buckets: Optional[Sequence[float]] = None, /,
+        **labels,
     ) -> Histogram:
         if not self.enabled:
             return _NULL  # type: ignore[return-value]
@@ -305,8 +306,7 @@ class PipelineMetrics(PipelineObserver):
         self.registry.counter("dispatch.count", cluster=inst.cluster).inc()
         if inst.critical_forwarded:
             self.registry.histogram(
-                "dispatch.forward_distance",
-                buckets=self.DISTANCE_BUCKETS,
+                "dispatch.forward_distance", self.DISTANCE_BUCKETS,
                 cluster=inst.cluster,
             ).observe(inst.critical_distance)
 

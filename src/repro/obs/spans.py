@@ -107,9 +107,9 @@ class TraceContext:
         """Mint a new trace; the sampling decision is made exactly once
         here and inherited by every child."""
         if sample_rate is None:
-            from repro.runtime.settings import resolve_trace_sample
+            from repro.runtime.settings import setting
 
-            sample_rate = resolve_trace_sample()
+            sample_rate = setting("trace_sample")
         trace_id = uuid.uuid4().hex
         return cls(trace_id, uuid.uuid4().hex[:16],
                    sampled=trace_sampled(trace_id, sample_rate))

@@ -1,7 +1,7 @@
 """On-disk, content-addressed, sharded store of simulation results.
 
 Layout (under the root resolved by
-:func:`repro.runtime.settings.resolve_cache_dir`)::
+the ``cache_dir`` knob of :mod:`repro.runtime.settings`)::
 
     <root>/v<JOB_SCHEMA_VERSION>/layout.json          # {"shards": N}
     <root>/v<JOB_SCHEMA_VERSION>/shard-<NNN>/<key>.json
@@ -72,12 +72,7 @@ from repro._http import ServiceUnavailable, json_round_trip
 from repro._jsonfile import read_json, write_json_atomic
 from repro.core.result import SimResult
 from repro.runtime.job import JOB_SCHEMA_VERSION, SimJob
-from repro.runtime.settings import (
-    resolve_cache_dir,
-    resolve_cache_enabled,
-    resolve_cache_shards,
-    resolve_service_url,
-)
+from repro.runtime.settings import setting
 
 #: Seconds allowed for one remote cache-backend HTTP round trip.
 REMOTE_TIMEOUT = 5.0
@@ -200,8 +195,8 @@ class ResultCache:
         shards: Optional[int] = None,
         remote: Union[str, bool, None] = None,
     ) -> None:
-        self.enabled = resolve_cache_enabled(enabled)
-        self.root = resolve_cache_dir(root)
+        self.enabled = setting("cache", enabled)
+        self.root = setting("cache_dir", root)
         self.stats = CacheStats()
         #: Per-shard counters (shard index -> CacheStats), exported on
         #: the service's ``/metrics``.
@@ -209,9 +204,9 @@ class ResultCache:
         if remote is False or remote == "":
             self.remote: Optional[str] = None
         elif remote is None or remote is True:
-            self.remote = resolve_service_url()
+            self.remote = setting("service_url")
         else:
-            self.remote = resolve_service_url(remote)
+            self.remote = setting("service_url", remote)
         #: Optional :class:`repro.resilience.FaultPlan` arming the
         #: ``cache.corrupt`` site (set by the engine for chaos runs).
         self.faults = None
@@ -256,7 +251,7 @@ class ResultCache:
                 return recorded
         except (OSError, ValueError, KeyError, TypeError):
             pass
-        self._shards = resolve_cache_shards(self._requested_shards)
+        self._shards = setting("cache_shards", self._requested_shards)
         return self._shards
 
     def _pin_layout(self) -> None:

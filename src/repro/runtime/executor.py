@@ -86,16 +86,7 @@ from repro.resilience.watchdog import reap_executor
 from repro.runtime.cache import ResultCache, flush_persistent_stats
 from repro.runtime.job import SimJob
 from repro.runtime.observe import EngineReport, JobEvent, ProgressCallback
-from repro.runtime.settings import (
-    resolve_backoff,
-    resolve_heartbeat_cycles,
-    resolve_jobs,
-    resolve_serve_port,
-    resolve_stale_after,
-    resolve_telemetry_dir,
-    resolve_timeout,
-    resolve_trace_dir,
-)
+from repro.runtime.settings import setting
 
 #: Re-exported so tests (and exotic callers) can substitute the pool class.
 ProcessPoolExecutor = concurrent.futures.ProcessPoolExecutor
@@ -253,20 +244,20 @@ class ExperimentEngine:
         heartbeat_cycles: Optional[int] = None,
         stale_after: Optional[float] = None,
     ) -> None:
-        self.workers = resolve_jobs(jobs)
+        self.workers = setting("jobs", jobs)
         if isinstance(cache, ResultCache):
             self.cache = cache
         elif isinstance(cache, bool):
             self.cache = ResultCache(enabled=cache)
         else:
             self.cache = ResultCache()
-        self.timeout = resolve_timeout(timeout)
+        self.timeout = setting("timeout", timeout)
         self.retries = retries
         self.progress = progress
         if isinstance(telemetry, TelemetryWriter):
             self.telemetry: Optional[TelemetryWriter] = telemetry
         else:
-            directory = resolve_telemetry_dir(telemetry)
+            directory = setting("telemetry_dir", telemetry)
             self.telemetry = (
                 TelemetryWriter(directory) if directory else None
             )
@@ -281,7 +272,7 @@ class ExperimentEngine:
         # ``engine.job`` span and the cache's lookup/store spans nest
         # under it in ``spans.jsonl``.  Without one the recorder is
         # absent and the run path is byte-identical to pre-tracing.
-        span_dir = resolve_trace_dir() or (
+        span_dir = setting("trace_dir") or (
             self.telemetry.directory if self.telemetry is not None else None)
         self.spans: Optional[SpanRecorder] = (
             SpanRecorder(directory=span_dir) if span_dir else None)
@@ -290,7 +281,7 @@ class ExperimentEngine:
         self._job_contexts: Dict[int, TraceContext] = {}
         self._job_started: Dict[int, float] = {}
         self.keep_going = keep_going
-        self.backoff = resolve_backoff(backoff)
+        self.backoff = setting("backoff", backoff)
         if resume is None or isinstance(resume, ResumeState):
             self.resume = resume
         else:
@@ -302,12 +293,12 @@ class ExperimentEngine:
         self.run_id: Optional[str] = None
         self._failures: List[JobFailure] = []
         # --- live observability (all optional, all read-only) -------------
-        self.heartbeat_cycles = resolve_heartbeat_cycles(heartbeat_cycles)
-        self.stale_after = resolve_stale_after(stale_after)
+        self.heartbeat_cycles = setting("heartbeat_cycles", heartbeat_cycles)
+        self.stale_after = setting("stale_after", stale_after)
         self.server = None
         self._hb_tmp: Optional[str] = None
         self._monitor: Optional[HeartbeatMonitor] = None
-        serve_port = resolve_serve_port(serve)
+        serve_port = setting("serve", serve)
         if serve_port is not None:
             self._start_server(serve_port)
 

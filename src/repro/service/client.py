@@ -31,7 +31,7 @@ from repro.core.result import SimResult
 from repro.obs.manifest import new_run_id
 from repro.obs.spans import SpanRecorder, TraceContext
 from repro.runtime.job import SimJob
-from repro.runtime.settings import resolve_trace_dir
+from repro.runtime.settings import setting
 from repro.service.transport import ServiceTransport
 
 #: Default seconds between result polls.
@@ -84,7 +84,7 @@ def submit_jobs(url: str, jobs: Sequence[SimJob],
     """
     run_id = run_id or new_run_id()
     states: Dict[str, str] = {}
-    recorder = SpanRecorder(directory=resolve_trace_dir(), keep=True,
+    recorder = SpanRecorder(directory=setting("trace_dir"), keep=True,
                             run_id=run_id)
     transport = ServiceTransport(url, name=f"submit:{run_id}")
     try:
@@ -145,7 +145,7 @@ def fetch_results(
     failed: Dict[str, str] = {}
     keys = [job.key for job in jobs]
     announced: Dict[str, str] = {}
-    recorder = SpanRecorder(directory=resolve_trace_dir(), keep=True)
+    recorder = SpanRecorder(directory=setting("trace_dir"), keep=True)
     transport = ServiceTransport(url, name="fetch", _sleep=_sleep)
     outages = 0
     poll_started = time.time()

@@ -64,7 +64,7 @@ from repro.obs.heartbeat import heartbeat_record
 from repro.obs.spans import SpanRecorder, TraceContext
 from repro.runtime.cache import ResultCache, flush_persistent_stats
 from repro.runtime.job import SimJob
-from repro.runtime.settings import resolve_trace_dir
+from repro.runtime.settings import setting
 
 #: Default seconds between claim polls when the queue is empty.
 DEFAULT_POLL_INTERVAL = 1.0
@@ -107,9 +107,7 @@ class WorkerAgent:
         # every executed job and rides its freshest window on each
         # heartbeat (the `interval` field), which the service stores
         # and /metrics exports as repro_worker_interval_* gauges.
-        from repro.runtime.settings import resolve_interval_cycles
-
-        self.interval_cycles = resolve_interval_cycles(interval_cycles)
+        self.interval_cycles = setting("interval_cycles", interval_cycles)
         # The worker's cache never goes remote: the service already
         # told us the key was a miss when it queued the job.
         self.cache = cache if cache is not None else ResultCache(remote=False)
@@ -126,7 +124,7 @@ class WorkerAgent:
         # service's POST /spans after each job (REPRO_TRACE_DIR adds a
         # local spans.jsonl).  The cache emits its lookup/store spans
         # through the same recorder whenever a trace context is active.
-        self.spans = SpanRecorder(directory=resolve_trace_dir(), keep=True)
+        self.spans = SpanRecorder(directory=setting("trace_dir"), keep=True)
         self.span_ship_errors = 0
         self.cache.tracer = self.spans
         # Every protocol round trip rides the hardened transport:

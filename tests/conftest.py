@@ -11,6 +11,7 @@ from repro.assign.base import AssignmentContext
 from repro.cluster.config import MachineConfig
 from repro.cluster.interconnect import Interconnect
 from repro.isa import DynInst, Instruction, Opcode, int_reg
+from repro.runtime import settings
 from repro.workloads.generator import generate_program
 from repro.workloads.profiles import WorkloadProfile
 
@@ -24,6 +25,20 @@ def pytest_configure(config):
     os.environ.setdefault(
         "REPRO_CACHE_DIR", tempfile.mkdtemp(prefix="repro-test-cache-")
     )
+
+
+@pytest.fixture
+def isolated_runtime(tmp_path, monkeypatch):
+    """A clean runtime for one test: no ``REPRO_*`` knob from the
+    caller's shell, a private cache root and no ``configure`` override.
+    Files opt in with ``pytestmark``; the rest share the session cache."""
+    for knob in settings.KNOBS.values():
+        monkeypatch.delenv(knob.env, raising=False)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    cleared = dict.fromkeys(settings.CONFIGURABLE)
+    settings.configure(**cleared)
+    yield
+    settings.configure(**cleared)
 
 
 @pytest.fixture

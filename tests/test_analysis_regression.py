@@ -32,20 +32,12 @@ from repro.cli import main
 from repro.cluster.config import MachineConfig
 from repro.core.simulator import simulate
 from repro.obs import load_manifest
-from repro.runtime import ExperimentEngine, SimJob, settings
+from repro.runtime import ExperimentEngine, SimJob
 
 TINY = ("--instructions", "400", "--warmup", "200")
 
 
-@pytest.fixture(autouse=True)
-def isolated_runtime(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
-    monkeypatch.delenv("REPRO_TELEMETRY_DIR", raising=False)
-    settings.configure(jobs=None, cache=None, telemetry_dir=None)
-    yield
-    settings.configure(jobs=None, cache=None, telemetry_dir=None)
+pytestmark = pytest.mark.usefixtures("isolated_runtime")
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,6 @@ from repro.assign.base import StrategySpec
 from repro.cluster.config import MachineConfig
 from repro.core.simulator import SimResult
 from repro.runtime import JOB_SCHEMA_VERSION, ResultCache, SimJob
-from repro.runtime import settings
 
 
 def make_result(**overrides) -> SimResult:
@@ -46,15 +45,7 @@ def make_job(**overrides) -> SimJob:
     return SimJob(**fields)
 
 
-@pytest.fixture(autouse=True)
-def isolated_runtime(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_CACHE_SHARDS", raising=False)
-    monkeypatch.delenv("REPRO_SERVICE_URL", raising=False)
-    settings.configure(jobs=None, cache=None, service_url=None)
-    yield
-    settings.configure(jobs=None, cache=None, service_url=None)
+pytestmark = pytest.mark.usefixtures("isolated_runtime")
 
 
 class TestLayout:
@@ -82,7 +73,7 @@ class TestLayout:
         monkeypatch.setenv("REPRO_CACHE_SHARDS", "8")
         assert ResultCache().shards == 8
         monkeypatch.setenv("REPRO_CACHE_SHARDS", "not-a-number")
-        with pytest.raises(ValueError, match="invalid cache shard count"):
+        with pytest.raises(ValueError, match="REPRO_CACHE_SHARDS"):
             ResultCache().shards
 
     def test_shard_distribution_spreads_keys(self):

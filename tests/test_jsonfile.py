@@ -46,6 +46,13 @@ class TestAppendJsonl:
                         + json.dumps(second, sort_keys=True) + "\n")
         assert read_jsonl(path) == ([first, second], 0)
 
+    def test_a_torn_tail_keeps_its_own_line(self, tmp_path):
+        path = tmp_path / "queue.jsonl"
+        path.write_text('{"a": 1}\n{"event": "job", "sta', encoding="utf-8")
+        append_jsonl(str(path), {"b": 2})
+        append_jsonl(str(path), {"c": 3})
+        assert read_jsonl(str(path)) == ([{"a": 1}, {"b": 2}, {"c": 3}], 1)
+
     def test_unserialisable_record_leaves_the_journal_alone(self, tmp_path):
         path = tmp_path / "events.jsonl"
         with pytest.raises(TypeError):

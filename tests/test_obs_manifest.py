@@ -10,20 +10,11 @@ from repro.cluster.config import MachineConfig
 from repro.obs import MANIFEST_SCHEMA_VERSION, TelemetryWriter, load_manifest
 from repro.obs.manifest import git_sha, host_info
 from repro.runtime import ExperimentEngine, SimJob
-from repro.runtime import settings
 
 TINY = dict(instructions=400, warmup=200)
 
 
-@pytest.fixture(autouse=True)
-def isolated_runtime(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
-    monkeypatch.delenv("REPRO_TELEMETRY_DIR", raising=False)
-    settings.configure(jobs=None, cache=None, telemetry_dir=None)
-    yield
-    settings.configure(jobs=None, cache=None, telemetry_dir=None)
+pytestmark = pytest.mark.usefixtures("isolated_runtime")
 
 
 def make_jobs(benches=("gzip", "bzip2")):

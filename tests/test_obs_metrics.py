@@ -45,9 +45,20 @@ class TestInstruments:
         names = set(registry.to_dict()["counters"])
         assert names == {"c{cluster=0}", "c{cluster=1}"}
 
+    def test_any_label_name_registers(self):
+        registry = MetricsRegistry()
+        registry.gauge("queue.size", name="a").set(2)
+        registry.counter("jobs", name="b").inc()
+        registry.histogram("wait", (1,), name="c", buckets="d").observe(0.5)
+        assert registry.gauge("queue.size", name="a").value == 2
+        assert registry.counter("jobs", name="b").value == 1
+        histograms = registry.to_dict()["histograms"]
+        assert list(histograms) == ["wait{buckets=d,name=c}"]
+        assert histograms["wait{buckets=d,name=c}"]["buckets"] == [1]
+
     def test_histogram_buckets_and_overflow(self):
         registry = MetricsRegistry()
-        hist = registry.histogram("h", buckets=(1, 2, 4))
+        hist = registry.histogram("h", (1, 2, 4))
         for value in (0, 1, 2, 3, 100):
             hist.observe(value)
         assert hist.counts == [2, 1, 1, 1]  # <=1, <=2, <=4, overflow
@@ -57,9 +68,9 @@ class TestInstruments:
     def test_histogram_rejects_bad_buckets(self):
         registry = MetricsRegistry()
         with pytest.raises(ValueError):
-            registry.histogram("bad", buckets=(4, 2, 1))
+            registry.histogram("bad", (4, 2, 1))
         with pytest.raises(ValueError):
-            registry.histogram("empty", buckets=())
+            registry.histogram("empty", ())
 
 
 class TestDisabledRegistry:
@@ -82,7 +93,7 @@ class TestExport:
         registry = MetricsRegistry()
         registry.counter("events", kind="x").inc(3)
         registry.gauge("level").set(0.5)
-        registry.histogram("sizes", buckets=(1, 2)).observe(2)
+        registry.histogram("sizes", (1, 2)).observe(2)
         stream = io.StringIO()
         registry.to_jsonl(stream)
         records = [json.loads(line) for line in
@@ -100,7 +111,7 @@ class TestExport:
 
         registry = MetricsRegistry()
         registry.gauge("queue.size", kind="a", value="b").set(3)
-        registry.histogram("wait", buckets=(1,), kind="c",
+        registry.histogram("wait", (1,), kind="c",
                            summary="d").observe(0.5)
         server = TelemetryServer(registry=registry)
         server.start()

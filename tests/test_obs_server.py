@@ -20,23 +20,11 @@ from repro.obs.server import (
     registry_to_prometheus,
 )
 from repro.runtime import ExperimentEngine, SimJob
-from repro.runtime import settings
 
 TINY = dict(instructions=400, warmup=200)
 
 
-@pytest.fixture(autouse=True)
-def isolated_runtime(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    for var in ("REPRO_NO_CACHE", "REPRO_JOBS", "REPRO_TELEMETRY_DIR",
-                "REPRO_SERVE_PORT", "REPRO_HEARTBEAT_CYCLES",
-                "REPRO_STALE_AFTER"):
-        monkeypatch.delenv(var, raising=False)
-    settings.configure(jobs=None, cache=None, telemetry_dir=None,
-                       serve=None)
-    yield
-    settings.configure(jobs=None, cache=None, telemetry_dir=None,
-                       serve=None)
+pytestmark = pytest.mark.usefixtures("isolated_runtime")
 
 
 def make_jobs(benches=("gzip", "bzip2")):
@@ -97,7 +85,7 @@ class TestRegistryExport:
         registry = MetricsRegistry()
         registry.counter("steps", cluster=1).inc(5)
         registry.gauge("ipc").set(1.25)
-        hist = registry.histogram("latency", buckets=(1, 2, 4))
+        hist = registry.histogram("latency", (1, 2, 4))
         for value in (0.5, 1.5, 3.0):
             hist.observe(value)
         text = registry_to_prometheus(registry).render()

@@ -19,7 +19,7 @@ from repro.obs.spans import (
     spans_to_chrome,
     trace_sampled,
 )
-from repro.runtime.settings import resolve_trace_dir, resolve_trace_sample
+from repro.runtime.settings import setting
 
 
 # ----------------------------------------------------------------------
@@ -83,23 +83,23 @@ def test_root_respects_sample_rate_zero_and_one():
 
 def test_resolve_trace_sample(monkeypatch):
     monkeypatch.delenv("REPRO_TRACE_SAMPLE", raising=False)
-    assert resolve_trace_sample() == 1.0
+    assert setting("trace_sample") == 1.0
     monkeypatch.setenv("REPRO_TRACE_SAMPLE", "0.25")
-    assert resolve_trace_sample() == 0.25
+    assert setting("trace_sample") == 0.25
     monkeypatch.setenv("REPRO_TRACE_SAMPLE", "7")
-    assert resolve_trace_sample() == 1.0   # clamped
+    assert setting("trace_sample") == 1.0   # clamped
     monkeypatch.setenv("REPRO_TRACE_SAMPLE", "junk")
     with pytest.raises(ValueError):
-        resolve_trace_sample()
-    assert resolve_trace_sample(0.5) == 0.5
+        setting("trace_sample")
+    assert setting("trace_sample", 0.5) == 0.5
 
 
 def test_resolve_trace_dir(monkeypatch, tmp_path):
     monkeypatch.delenv("REPRO_TRACE_DIR", raising=False)
-    assert resolve_trace_dir() is None
+    assert setting("trace_dir") is None
     monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
-    assert resolve_trace_dir() == str(tmp_path)
-    assert resolve_trace_dir("explicit") == "explicit"
+    assert setting("trace_dir") == str(tmp_path)
+    assert setting("trace_dir", "explicit") == "explicit"
 
 
 # ----------------------------------------------------------------------

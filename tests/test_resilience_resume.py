@@ -25,21 +25,12 @@ from repro.runtime import (
     RunInterrupted,
     SimJob,
 )
-from repro.runtime import settings
 
 TINY = dict(instructions=400, warmup=200)
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 
-@pytest.fixture(autouse=True)
-def isolated_runtime(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    for var in ("REPRO_NO_CACHE", "REPRO_JOBS", "REPRO_JOB_TIMEOUT",
-                "REPRO_TELEMETRY_DIR", "REPRO_RETRY_BACKOFF"):
-        monkeypatch.delenv(var, raising=False)
-    settings.configure(jobs=None, cache=None, telemetry_dir=None)
-    yield
-    settings.configure(jobs=None, cache=None, telemetry_dir=None)
+pytestmark = pytest.mark.usefixtures("isolated_runtime")
 
 
 def make_jobs(benches=("gzip", "bzip2"), specs=(StrategySpec(kind="base"),

@@ -18,24 +18,13 @@ from repro.obs.server import TelemetryServer
 from repro.obs.top import run_top
 from repro.resilience import load_resume_state
 from repro.runtime import SimJob
-from repro.runtime import settings
 from repro.runtime.observe import EngineReport, JobEvent
 from tests.test_obs_server import damaged_journal
 
 TINY = dict(instructions=400, warmup=200)
 
 
-@pytest.fixture(autouse=True)
-def isolated_runtime(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    for var in ("REPRO_NO_CACHE", "REPRO_JOBS", "REPRO_TELEMETRY_DIR",
-                "REPRO_SERVE_PORT"):
-        monkeypatch.delenv(var, raising=False)
-    settings.configure(jobs=None, cache=None, telemetry_dir=None,
-                       serve=None)
-    yield
-    settings.configure(jobs=None, cache=None, telemetry_dir=None,
-                       serve=None)
+pytestmark = pytest.mark.usefixtures("isolated_runtime")
 
 
 def make_result(ipc):
@@ -142,6 +131,16 @@ class TestOneFold:
         assert state.completed == 3 and len(state.failed) == 2
         assert state.torn_lines == 1
 
+    def test_the_run_start_after_a_torn_tail_survives(self, tmp_path):
+        (tmp_path / "events.jsonl").write_text(
+            '{"event": "job", "index": 0, "status": "re', encoding="utf-8")
+        writer = TelemetryWriter(str(tmp_path))
+        writer.start_run([], run_id="after-the-tear")
+        records, torn = read_jsonl(writer.events_path)
+        assert torn == 1
+        assert [(r["event"], r["run_id"]) for r in records] == [
+            ("run_start", "after-the-tear")]
+
 
 class TestResumedDirectory:
     SWEEP = ["sweep", "--benchmarks", "gzip", "--strategies", "base,fdrt",
@@ -171,14 +170,14 @@ class TestResumedDirectory:
         telemetry = tmp_path / "telemetry"
         directory = str(telemetry)
         assert main(self.SWEEP + ["--telemetry-dir", directory]) == 0
-        # A killed writer's torn last line swallows the next run_start.
+        # A killed writer's torn last line stays its own (skipped) line.
         damaged_journal(telemetry, runs=0)
         reordered = self.SWEEP[:4] + ["fdrt,base"] + self.SWEEP[5:]
         assert main(reordered + ["--resume", directory]) == 0
         capsys.readouterr()
         runs = TelemetryServer(telemetry_dir=directory).runs()["runs"]
         assert len(runs) == 2 and runs[0]["run_id"] != runs[1]["run_id"]
-        assert "started" not in runs[1] and runs[1]["resumed"] == 2
+        assert runs[1]["started"] > 0 and runs[1]["resumed"] == 2
         labels = {job.key: job.spec.label for job in (
             SimJob(benchmark="gzip", spec=StrategySpec(kind=kind),
                    config=MachineConfig(), **TINY)

@@ -10,17 +10,9 @@ from repro.assign.base import StrategySpec
 from repro.cluster.config import MachineConfig
 from repro.core.simulator import SimResult
 from repro.runtime import ResultCache, SimJob
-from repro.runtime import settings
 
 
-@pytest.fixture(autouse=True)
-def isolated_runtime(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
-    settings.configure(jobs=None, cache=None)
-    yield
-    settings.configure(jobs=None, cache=None)
+pytestmark = pytest.mark.usefixtures("isolated_runtime")
 
 
 def make_result(**overrides) -> SimResult:

@@ -27,16 +27,7 @@ SPECS = (
 )
 
 
-@pytest.fixture(autouse=True)
-def isolated_runtime(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
-    monkeypatch.delenv("REPRO_JOB_TIMEOUT", raising=False)
-    monkeypatch.delenv("REPRO_TELEMETRY_DIR", raising=False)
-    settings.configure(jobs=None, cache=None, telemetry_dir=None)
-    yield
-    settings.configure(jobs=None, cache=None, telemetry_dir=None)
+pytestmark = pytest.mark.usefixtures("isolated_runtime")
 
 
 def make_jobs(benches=("gzip",), specs=(StrategySpec(kind="base"),)):

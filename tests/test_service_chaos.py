@@ -20,18 +20,10 @@ from repro.cluster.config import MachineConfig
 from repro.resilience import ChaosProxy, CircuitBreaker, FaultPlan, FaultSpec
 from repro.resilience.retry import deterministic_jitter
 from repro.runtime import SimJob
-from repro.runtime import settings
 from repro.service import ServiceServer, ServiceTransport, ServiceUnavailable
 
 
-@pytest.fixture(autouse=True)
-def isolated_runtime(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.delenv("REPRO_SERVICE_URL", raising=False)
-    monkeypatch.delenv("REPRO_QUEUE_LIMIT", raising=False)
-    settings.configure(jobs=None, cache=None, service_url=None)
-    yield
-    settings.configure(jobs=None, cache=None, service_url=None)
+pytestmark = pytest.mark.usefixtures("isolated_runtime")
 
 
 def make_job(**overrides) -> SimJob:
@@ -359,16 +351,16 @@ class TestBackpressureAndDrain:
             server.stop()
 
     def test_env_default_queue_limit(self, monkeypatch):
-        from repro.runtime.settings import resolve_queue_limit
+        from repro.runtime.settings import setting
 
-        assert resolve_queue_limit(7) == 7
+        assert setting("queue_limit", 7) == 7
         monkeypatch.setenv("REPRO_QUEUE_LIMIT", "12")
-        assert resolve_queue_limit() == 12
+        assert setting("queue_limit") == 12
         monkeypatch.setenv("REPRO_QUEUE_LIMIT", "0")
-        assert resolve_queue_limit() is None
+        assert setting("queue_limit") is None
         monkeypatch.setenv("REPRO_QUEUE_LIMIT", "lots")
         with pytest.raises(ValueError):
-            resolve_queue_limit()
+            setting("queue_limit")
 
     def test_drain_stops_claims_and_submissions_not_completions(
             self, tmp_path):

@@ -28,7 +28,6 @@ from repro.cluster.config import MachineConfig
 from repro.resilience import FaultPlan
 from repro.resilience.faults import FaultSpec
 from repro.runtime import ExperimentEngine, ResultCache, SimJob
-from repro.runtime import settings
 from repro.service import (
     ServiceServer,
     WorkerAgent,
@@ -37,13 +36,7 @@ from repro.service import (
 )
 
 
-@pytest.fixture(autouse=True)
-def isolated_runtime(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "ambient-cache"))
-    monkeypatch.delenv("REPRO_SERVICE_URL", raising=False)
-    settings.configure(jobs=None, cache=None, service_url=None)
-    yield
-    settings.configure(jobs=None, cache=None, service_url=None)
+pytestmark = pytest.mark.usefixtures("isolated_runtime")
 
 
 def make_jobs(instructions=2_000, warmup=1_000, seed=None):

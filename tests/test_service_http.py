@@ -13,18 +13,11 @@ from repro.cluster.config import MachineConfig
 from repro.obs.server import TelemetryServer
 from repro.resilience import ChaosProxy
 from repro.runtime import ResultCache, SimJob
-from repro.runtime import settings
 from repro.service import ServiceServer
 from repro.service.queue import JobQueue
 
 
-@pytest.fixture(autouse=True)
-def isolated_runtime(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.delenv("REPRO_SERVICE_URL", raising=False)
-    settings.configure(jobs=None, cache=None, service_url=None)
-    yield
-    settings.configure(jobs=None, cache=None, service_url=None)
+pytestmark = pytest.mark.usefixtures("isolated_runtime")
 
 
 @pytest.fixture

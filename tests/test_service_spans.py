@@ -27,7 +27,6 @@ from repro.assign.base import StrategySpec
 from repro.cluster.config import MachineConfig
 from repro.obs.spans import TraceContext, read_spans
 from repro.runtime import ExperimentEngine, ResultCache, SimJob
-from repro.runtime import settings
 from repro.service import (
     ServiceServer,
     WorkerAgent,
@@ -38,15 +37,7 @@ from repro.service import (
 )
 
 
-@pytest.fixture(autouse=True)
-def isolated_runtime(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "ambient-cache"))
-    monkeypatch.delenv("REPRO_SERVICE_URL", raising=False)
-    monkeypatch.delenv("REPRO_TRACE_SAMPLE", raising=False)
-    monkeypatch.delenv("REPRO_TRACE_DIR", raising=False)
-    settings.configure(jobs=None, cache=None, service_url=None)
-    yield
-    settings.configure(jobs=None, cache=None, service_url=None)
+pytestmark = pytest.mark.usefixtures("isolated_runtime")
 
 
 @pytest.fixture
