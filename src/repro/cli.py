@@ -299,10 +299,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="exit after executing N jobs")
     worker.add_argument("--max-idle", type=float, default=None, metavar="S",
                         help="exit after S seconds with an empty queue")
-    worker.add_argument("--heartbeat-cycles", type=int, default=2_000,
+    worker.add_argument("--heartbeat-cycles", type=int, default=None,
                         metavar="N",
                         help="simulated cycles between HTTP heartbeats "
-                             "(default 2000; 0 = no heartbeats)")
+                             "(default $REPRO_HEARTBEAT_CYCLES, else 2000; "
+                             "0 = no heartbeats)")
     worker.add_argument("--interval-cycles", type=int, default=None,
                         metavar="N",
                         help="attach an interval recorder to each job "

@@ -9,7 +9,7 @@ whichever component was right.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence
 
 
 def _saturate_up(counter: int, maximum: int = 3) -> int:
@@ -28,7 +28,7 @@ class BimodalPredictor:
             raise ValueError("entries must be a positive power of two")
         self.entries = entries
         self._mask = entries - 1
-        self._table = [2] * entries  # weakly taken
+        self._table = bytearray(b"\x02") * entries  # weakly taken
 
     def _index(self, pc: int) -> int:
         return (pc >> 2) & self._mask
@@ -56,7 +56,7 @@ class GsharePredictor:
             history_bits if history_bits is not None else entries.bit_length() - 1
         )
         self._history_mask = (1 << self.history_bits) - 1
-        self._table = [2] * entries
+        self._table = bytearray(b"\x02") * entries
         self.history = 0
 
     def _index(self, pc: int) -> int:
@@ -84,7 +84,7 @@ class HybridPredictor:
     def __init__(self, entries: int = 16384) -> None:
         self.bimodal = BimodalPredictor(entries)
         self.gshare = GsharePredictor(entries)
-        self._selector = [2] * entries  # >=2 prefers gshare
+        self._selector = bytearray(b"\x02") * entries  # >=2 prefers gshare
         self._mask = entries - 1
         self.lookups = 0
         self.mispredictions = 0
@@ -138,8 +138,9 @@ class BranchTargetBuffer:
         self.entries = entries
         self.assoc = assoc
         self.sets = entries // assoc
-        # Per set: list of [tag, target] in LRU order (MRU last).
-        self._sets = [[] for _ in range(self.sets)]
+        # Per set: (tag, target) pairs in LRU order (MRU last); the shared
+        # empty tuple until :meth:`update` gives the set its own list.
+        self._sets: List[Sequence[tuple]] = [()] * self.sets
         self.lookups = 0
         self.misses = 0
 
@@ -167,7 +168,9 @@ class BranchTargetBuffer:
             if way_tag == tag:
                 ways.pop(i)
                 break
-        if len(ways) >= self.assoc:
+        if not ways:
+            ways = self._sets[set_index] = []
+        elif len(ways) >= self.assoc:
             ways.pop(0)  # evict LRU
         ways.append((tag, target))
 

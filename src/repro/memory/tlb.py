@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 
 class TLB:
@@ -29,7 +29,9 @@ class TLB:
         self.sets = entries // assoc
         self.hit_latency = hit_latency
         self.miss_latency = miss_latency
-        self._sets: List[List[int]] = [[] for _ in range(self.sets)]
+        # Per set: pages in LRU order (MRU last); the shared empty tuple
+        # until its first miss.
+        self._sets: List[Sequence[int]] = [()] * self.sets
         self.hits = 0
         self.misses = 0
 
@@ -44,7 +46,9 @@ class TLB:
             self.hits += 1
             return self.hit_latency
         self.misses += 1
-        if len(ways) >= self.assoc:
+        if not ways:
+            ways = self._sets[set_index] = []
+        elif len(ways) >= self.assoc:
             ways.pop(0)
         ways.append(page)
         return self.hit_latency + self.miss_latency

@@ -33,7 +33,8 @@ def worker_processes(executor) -> List:
 
 
 def reap_executor(executor, grace: float = 2.0) -> int:
-    """Shut ``executor`` down and force-kill any worker that lingers.
+    """Shut ``executor`` down, force-kill any worker that lingers, and
+    return once the pool has recorded every worker's exit.
 
     Returns the number of workers that had to be terminated or killed
     (0 for a pool that exited cleanly).  Never raises: the watchdog
@@ -41,6 +42,8 @@ def reap_executor(executor, grace: float = 2.0) -> int:
     first.
     """
     workers = worker_processes(executor)
+    # Shutdown drops the pool's reference to its manager thread.
+    manager = getattr(executor, "_executor_manager_thread", None)
     try:
         executor.shutdown(wait=False, cancel_futures=True)
     except TypeError:
@@ -72,4 +75,12 @@ def reap_executor(executor, grace: float = 2.0) -> int:
                 process.join(grace)
         except Exception:
             pass
+    # The manager thread joins the same workers: between its waitpid and
+    # its recording the exit code, ours fails with ECHILD and the worker
+    # reads as alive.  The thread ends once every exit is recorded.
+    try:
+        if manager is not None:
+            manager.join(grace)
+    except Exception:
+        pass
     return forced

@@ -299,19 +299,19 @@ class ResultCache:
         """
         if not self.enabled or not job.cacheable:
             return None
+        key = job.key
         tracer = self.tracer
         context = tracer.current() if tracer is not None else None
         span = None
         if context is not None:
             span = tracer.start("cache.lookup", context, stage="cache",
-                                key=job.key)
-        result = self._load(job)
+                                key=key)
+        result = self._load(job, key)
         if span is not None:
             tracer.finish(span, hit=result is not None)
         return result
 
-    def _load(self, job: SimJob) -> Optional[SimResult]:
-        key = job.key
+    def _load(self, job: SimJob, key: str) -> Optional[SimResult]:
         shard = self.shard_index(key)
         result = self._read_entry(self.path_for_key(key), shard)
         if result is None:
@@ -319,7 +319,7 @@ class ResultCache:
         if result is not None:
             self._count("hits", shard)
             return result
-        remote = self._remote_load(job, shard)
+        remote = self._remote_load(job, key, shard)
         if remote is not None:
             return remote
         self._count("misses", shard)
@@ -408,7 +408,8 @@ class ResultCache:
         self._prune_empty_dir(os.path.dirname(legacy))
         return True
 
-    def _remote_load(self, job: SimJob, shard: int) -> Optional[SimResult]:
+    def _remote_load(self, job: SimJob, key: str,
+                     shard: int) -> Optional[SimResult]:
         """Ask the service's cache backend; copy a hit into this cache."""
         if self.remote is None:
             return None
@@ -417,8 +418,8 @@ class ResultCache:
         span = None
         if context is not None:
             span = tracer.start("cache.remote", context, stage="cache",
-                                key=job.key)
-        payload, trouble = _fetch_remote(self.remote, job.key)
+                                key=key)
+        payload, trouble = _fetch_remote(self.remote, key)
         if payload is None:
             if trouble:
                 self._count("remote_errors", shard)
@@ -434,7 +435,7 @@ class ResultCache:
         except Exception:
             self._count("remote_errors", shard)
             return None
-        self.store(job, result, elapsed=payload.get("elapsed"))
+        self.store(job, result, elapsed=payload.get("elapsed"), key=key)
         self._count("remote_hits", shard)
         return result
 
@@ -443,25 +444,28 @@ class ResultCache:
     # ------------------------------------------------------------------
     def store(
         self, job: SimJob, result: SimResult, elapsed: Optional[float] = None,
+        key: Optional[str] = None,
     ) -> None:
-        """Atomically persist ``result`` under ``job``'s key."""
+        """Atomically persist ``result`` under ``job``'s key; ``key`` is
+        that key when the caller has already derived it."""
         if not self.enabled or not job.cacheable:
             return
+        key = key or job.key
         tracer = self.tracer
         context = tracer.current() if tracer is not None else None
         span = None
         if context is not None:
             span = tracer.start("cache.store", context, stage="store",
-                                key=job.key)
+                                key=key)
         try:
-            self._store(job, result, elapsed)
+            self._store(job, key, result, elapsed)
         finally:
             if span is not None:
                 tracer.finish(span)
 
-    def _store(self, job: SimJob, result: SimResult,
+    def _store(self, job: SimJob, key: str, result: SimResult,
                elapsed: Optional[float]) -> None:
-        path = self.path_for(job)
+        path = self.path_for_key(key)
         directory = os.path.dirname(path)
         os.makedirs(directory, exist_ok=True)
         self._pin_layout()
@@ -487,7 +491,7 @@ class ResultCache:
             "elapsed": elapsed,
         }
         write_json_atomic(path, payload)
-        self._count("stores", self.shard_index(job.key))
+        self._count("stores", self.shard_index(key))
 
     # ------------------------------------------------------------------
     # Scanning, eviction, migration.

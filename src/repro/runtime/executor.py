@@ -280,6 +280,7 @@ class ExperimentEngine:
             self.cache.tracer = self.spans
         self._job_contexts: Dict[int, TraceContext] = {}
         self._job_started: Dict[int, float] = {}
+        self._job_keys: Dict[int, Optional[str]] = {}
         self.keep_going = keep_going
         self.backoff = setting("backoff", backoff)
         if resume is None or isinstance(resume, ResumeState):
@@ -377,6 +378,7 @@ class ExperimentEngine:
             self.spans.run_id = self.run_id
         self._job_contexts = {}
         self._job_started = {}
+        self._job_keys = {}
         if self.telemetry is not None:
             self.telemetry.start_run(jobs, run_id=self.run_id)
         self._monitor = None
@@ -817,6 +819,13 @@ class ExperimentEngine:
         self.spans.push(context)
         return context
 
+    def _key(self, index: int, job: SimJob) -> Optional[str]:
+        """``job``'s cache key (``None``: not cacheable), derived at most
+        once per run; not kept on the job, whose config is mutable."""
+        if index not in self._job_keys:
+            self._job_keys[index] = job.key if job.cacheable else None
+        return self._job_keys[index]
+
     def _trace_finish(self, index, job, status, elapsed, source) -> None:
         """Emit the root ``engine.job`` span for a job's terminal event."""
         if self.spans is None:
@@ -828,8 +837,9 @@ class ExperimentEngine:
         start = self._job_started.pop(index, end - elapsed)
         attrs = {"label": job.label, "source": source,
                  "outcome": status, "index": index}
-        if job.cacheable:
-            attrs["key"] = job.key
+        key = self._key(index, job)
+        if key is not None:
+            attrs["key"] = key
         self.spans.emit(
             "engine.job", context, start, end, stage="engine",
             status="error" if status == "failed" else "ok", root=True,
@@ -845,7 +855,8 @@ class ExperimentEngine:
             # stores from the harvest loop) so cache.store nests.
             self.spans.push(context)
         try:
-            self.cache.store(job, result, elapsed=elapsed)
+            self.cache.store(job, result, elapsed=elapsed,
+                             key=self._key(index, job))
         finally:
             if context is not None:
                 self.spans.pop()

@@ -84,7 +84,7 @@ class WorkerAgent:
         poll_interval: float = DEFAULT_POLL_INTERVAL,
         max_jobs: Optional[int] = None,
         max_idle: Optional[float] = None,
-        heartbeat_cycles: int = 2_000,
+        heartbeat_cycles: Optional[int] = None,
         interval_cycles: Optional[int] = None,
         cache: Optional[ResultCache] = None,
         faults=None,
@@ -102,7 +102,9 @@ class WorkerAgent:
         #: (exit cleanly on the first exhausted retry budget); the
         #: chaos soak raises it so workers ride out server restarts.
         self.outage_grace = max(0.0, float(outage_grace))
-        self.heartbeat_cycles = max(0, int(heartbeat_cycles))
+        # ``None`` reads $REPRO_HEARTBEAT_CYCLES, as pool workers do.
+        self.heartbeat_cycles = setting("heartbeat_cycles",
+                                        heartbeat_cycles)
         # Interval time series: > 0 attaches an IntervalRecorder to
         # every executed job and rides its freshest window on each
         # heartbeat (the `interval` field), which the service stores

@@ -10,7 +10,7 @@ line carries the feedback.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.isa.instruction import LeaderFollower
 from repro.tracecache.trace import TraceKey, TraceLine
@@ -27,8 +27,9 @@ class TraceCache:
         self.assoc = assoc
         self.sets = entries // assoc
         self.access_latency = access_latency
-        # Per set: list of TraceLine in LRU order (MRU last).
-        self._sets: List[List[TraceLine]] = [[] for _ in range(self.sets)]
+        # Per set: TraceLines in LRU order (MRU last); the shared empty
+        # tuple until :meth:`insert` gives the set its own list.
+        self._sets: List[Sequence[TraceLine]] = [()] * self.sets
         self.lookups = 0
         self.hits = 0
         self.inserts = 0
@@ -80,13 +81,16 @@ class TraceCache:
     def insert(self, line: TraceLine) -> None:
         """Install ``line``, replacing any line with the same key."""
         self.inserts += 1
-        ways = self._sets[self._set_index(line.start_pc)]
+        set_index = self._set_index(line.start_pc)
+        ways = self._sets[set_index]
         for i, existing in enumerate(ways):
             if existing.key == line.key:
                 ways.pop(i)
                 break
         else:
-            if len(ways) >= self.assoc:
+            if not ways:
+                ways = self._sets[set_index] = []
+            elif len(ways) >= self.assoc:
                 ways.pop(0)
                 self.evictions += 1
         ways.append(line)

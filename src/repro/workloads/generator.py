@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Dict, List, Optional, Sequence
+from bisect import bisect_left
+from itertools import cycle
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.isa import Instruction, Opcode, fp_reg, int_reg
 from repro.isa.registers import NUM_INT_REGS
@@ -54,81 +56,86 @@ _SIMPLE_INT_OPS = (
     Opcode.CMP,
 )
 _SIMPLE_FP_OPS = (Opcode.FADD, Opcode.FSUB, Opcode.FCMP)
+#: Source register files (``True``: fp) for :meth:`_DataflowState.operands`.
+_INT = (False,)
+_BRANCH = (False, None)
+_INT_INT = (False, False)
+_FP_FP = (True, True)
+_FP_INT = (True, False)
 
 
 class _DataflowState:
-    """Tracks recent register writes to realise dependency distances."""
+    """Tracks register writes to realise dependency distances.
+
+    Per register file, ``_int``/``_fp`` hold each register's latest write,
+    oldest first, as parallel lists of generation index and register, so
+    the still-current writes within a window are one bisected slice.
+    """
 
     def __init__(self, rng: random.Random, profile: WorkloadProfile) -> None:
-        self._rng = rng
-        self._profile = profile
-        self._gen_index = 0
-        #: reg -> generation index of its last write.
-        self._last_write: Dict[int, int] = {}
-        #: recent writes per register file, newest last: (gen_index, reg).
-        #: Trimming at ``3 * mid_window`` keeps every write of the last
-        #: ``2 * mid_window`` generated instructions: more than either pick
-        #: window reaches back while ``near_window <= 2 * mid_window``.
-        self._recent_int: List[tuple] = []
-        self._recent_fp: List[tuple] = []
-        self._rot_int_pos = 0
-        self._rot_fp_pos = 0
+        self._random = rng.random
+        self._getrandbits = rng.getrandbits
+        self.profile = profile
+        #: The generation clock: instructions noted so far.
+        self.clock = 0
+        self._int: Tuple[List[int], List[int]] = ([], [])
+        self._fp: Tuple[List[int], List[int]] = ([], [])
+        #: Rotating destination pools: ``next()`` is the next destination.
+        self.int_dests = cycle(_ROTATING_INT)
+        self.fp_dests = cycle(_ROTATING_FP)
 
-    def note_instruction(self, dest: Optional[int]) -> None:
-        """Advance the generation clock, recording ``dest`` if any."""
+    def operands(self, fps: Tuple[Optional[bool], ...],
+                 dest: Optional[int] = None) -> Tuple[int, ...]:
+        """Pick one instruction's sources, then note its write of ``dest``
+        (``None``: none) and advance the generation clock.
+
+        ``fps`` gives each source's file (``True``: fp); ``None`` is an int
+        source that a fair coin may leave out.  A pick draws ``random()``
+        against the distance model (written within ``near_window``, within
+        ``mid_window`` but not ``near_window``, or long-lived), then one
+        candidate, newest first, by ``Random.choice``'s draw, replicated
+        here and nowhere else; long-lived when there is no candidate.
+        """
+        random = self._random
+        getrandbits = self._getrandbits
+        profile = self.profile
+        clock = self.clock
+        near = clock - profile.near_window
+        p_near = profile.p_near
+        p_mid = p_near + profile.p_mid
+        srcs = []
+        for fp in fps:
+            if fp is None:
+                if random() >= 0.5:
+                    break
+                fp = False
+            indices, regs = self._fp if fp else self._int
+            p = random()
+            if p < p_near:
+                lo, hi = bisect_left(indices, near), len(indices)
+            elif p < p_mid:
+                lo = bisect_left(indices, clock - profile.mid_window)
+                hi = bisect_left(indices, near)
+            else:
+                lo = hi = 0
+            recent = hi > lo
+            pool = regs if recent else _LONG_LIVED_FP if fp else _LONG_LIVED_INT
+            n = hi - lo if recent else len(pool)
+            # Random.choice(pool) is pool[_randbelow(n)]:
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            srcs.append(pool[hi - 1 - r] if recent else pool[r])
         if dest is not None:
-            index = self._gen_index
-            self._last_write[dest] = index
-            recent = (self._recent_fp if dest >= NUM_INT_REGS
-                      else self._recent_int)
-            recent.append((index, dest))
-            mid_window = self._profile.mid_window
-            if len(recent) > 3 * mid_window:
-                del recent[:mid_window]
-        self._gen_index += 1
-
-    def next_dest(self, fp: bool) -> int:
-        """Pick the next rotating destination register."""
-        if fp:
-            reg = _ROTATING_FP[self._rot_fp_pos % len(_ROTATING_FP)]
-            self._rot_fp_pos += 1
-        else:
-            reg = _ROTATING_INT[self._rot_int_pos % len(_ROTATING_INT)]
-            self._rot_int_pos += 1
-        return reg
-
-    def pick_source(self, fp: bool) -> int:
-        """Pick a source register honouring the profile's distance model."""
-        rng = self._rng
-        p = rng.random()
-        profile = self._profile
-        if p < profile.p_near:
-            reg = self._pick_recent(profile.near_window, fp)
-            if reg is not None:
-                return reg
-        elif p < profile.p_near + profile.p_mid:
-            reg = self._pick_recent(profile.mid_window, fp, skip=profile.near_window)
-            if reg is not None:
-                return reg
-        return rng.choice(_LONG_LIVED_FP if fp else _LONG_LIVED_INT)
-
-    def _pick_recent(self, window: int, fp: bool, skip: int = 0) -> Optional[int]:
-        """Pick a register whose *current* value was produced within
-        ``window`` generated instructions (optionally skipping the most
-        recent ``skip``).  Candidates are ordered newest first."""
-        horizon = self._gen_index - window
-        ceiling = self._gen_index - skip
-        last_write = self._last_write
-        candidates = []
-        for idx, reg in reversed(self._recent_fp if fp else self._recent_int):
-            if idx < horizon:
-                break
-            # A register overwritten since would have another distance.
-            if idx < ceiling and last_write[reg] == idx:
-                candidates.append(reg)
-        if not candidates:
-            return None
-        return self._rng.choice(candidates)
+            indices, regs = self._fp if dest >= NUM_INT_REGS else self._int
+            if dest in regs:
+                i = regs.index(dest)
+                del indices[i], regs[i]
+            indices.append(clock)
+            regs.append(dest)
+        self.clock = clock + 1
+        return tuple(srcs)
 
 
 class _ProgramBuilder:
@@ -147,7 +154,7 @@ class _ProgramBuilder:
         """Point the generation knobs at ``profile``; the rng, dataflow
         history, and pc/stream allocators carry over."""
         self.profile = profile
-        self.dataflow._profile = profile
+        self.dataflow.profile = profile
         # Cold regions: the working set split into byte-addressed parts.
         n = max(1, profile.num_regions)
         size = max(4096, profile.working_set_kb * 1024 // n)
@@ -189,74 +196,61 @@ class _ProgramBuilder:
         n = int(round(self.rng.gauss(profile.mean_block_size, profile.block_size_sd)))
         return max(2, min(14, n))
 
-    def _body_instruction(self) -> Instruction:
-        """Generate one non-terminator instruction per the mix."""
-        profile = self.profile
-        rng = self.rng
-        dataflow = self.dataflow
-        pick = dataflow.pick_source
-        r = rng.random()
-        mem, cpx, fp, cpxfp, fpmem = self._mix
-        pc = self._next_pc
-        self._next_pc = pc + 4
-        if r < mem:
-            stream = self.new_stream()
-            if rng.random() < profile.frac_load:
-                dest = dataflow.next_dest(fp=False)
-                instr = Instruction(pc, Opcode.LOAD, dest, (pick(False),),
-                                    stream)
-            else:
-                srcs = (pick(False), pick(False))
-                instr = Instruction(pc, Opcode.STORE, None, srcs, stream)
-        elif r < cpx:
-            dest = dataflow.next_dest(fp=False)
-            op = Opcode.MUL if rng.random() < 0.9 else Opcode.DIV
-            instr = Instruction(pc, op, dest, (pick(False), pick(False)))
-        elif r < fp:
-            dest = dataflow.next_dest(fp=True)
-            op = rng.choice(_SIMPLE_FP_OPS)
-            instr = Instruction(pc, op, dest, (pick(True), pick(True)))
-        elif r < cpxfp:
-            dest = dataflow.next_dest(fp=True)
-            op = Opcode.FMUL if rng.random() < 0.8 else Opcode.FDIV
-            instr = Instruction(pc, op, dest, (pick(True), pick(True)))
-        elif r < fpmem:
-            stream = self.new_stream()
-            if rng.random() < profile.frac_load:
-                dest = dataflow.next_dest(fp=True)
-                instr = Instruction(pc, Opcode.FLOAD, dest, (pick(False),),
-                                    stream)
-            else:
-                srcs = (pick(True), pick(False))
-                instr = Instruction(pc, Opcode.FSTORE, None, srcs, stream)
-        elif rng.random() < profile.frac_zero_src:
-            dest = dataflow.next_dest(fp=False)
-            instr = Instruction(pc, Opcode.LUI, dest, ())
-        else:
-            dest = dataflow.next_dest(fp=False)
-            op = rng.choice(_SIMPLE_INT_OPS)
-            if rng.random() < 0.6:
-                srcs = (pick(False), pick(False))
-            else:
-                srcs = (pick(False),)
-            instr = Instruction(pc, op, dest, srcs)
-        dataflow.note_instruction(instr.dest)
-        return instr
-
     def _body(self, count: int) -> List[Instruction]:
-        body_instruction = self._body_instruction
-        return [body_instruction() for _ in range(count)]
+        """Generate ``count`` non-terminator instructions per the mix."""
+        profile = self.profile
+        random = self.rng.random
+        choice = self.rng.choice
+        new_stream = self.new_stream
+        dataflow = self.dataflow
+        operands = dataflow.operands
+        int_dests, fp_dests = dataflow.int_dests, dataflow.fp_dests
+        mem, cpx, fp, cpxfp, fpmem = self._mix
+        frac_load = profile.frac_load
+        body = []
+        first = self._next_pc
+        self._next_pc = first + 4 * count
+        for pc in range(first, first + 4 * count, 4):
+            r = random()
+            stream = None
+            if r < mem:
+                stream = new_stream()
+                if random() < frac_load:
+                    op, dest, fps = Opcode.LOAD, next(int_dests), _INT
+                else:
+                    op, dest, fps = Opcode.STORE, None, _INT_INT
+            elif r < cpx:
+                dest = next(int_dests)
+                op = Opcode.MUL if random() < 0.9 else Opcode.DIV
+                fps = _INT_INT
+            elif r < fp:
+                dest = next(fp_dests)
+                op = choice(_SIMPLE_FP_OPS)
+                fps = _FP_FP
+            elif r < cpxfp:
+                dest = next(fp_dests)
+                op = Opcode.FMUL if random() < 0.8 else Opcode.FDIV
+                fps = _FP_FP
+            elif r < fpmem:
+                stream = new_stream()
+                if random() < frac_load:
+                    op, dest, fps = Opcode.FLOAD, next(fp_dests), _INT
+                else:
+                    op, dest, fps = Opcode.FSTORE, None, _FP_INT
+            elif random() < profile.frac_zero_src:
+                op, dest, fps = Opcode.LUI, next(int_dests), ()
+            else:
+                dest = next(int_dests)
+                op = choice(_SIMPLE_INT_OPS)
+                fps = _INT_INT if random() < 0.6 else _INT
+            body.append(Instruction(pc, op, dest, operands(fps, dest), stream))
+        return body
 
     def _cond_branch(self, behavior: BranchBehavior) -> Instruction:
         pc = self.alloc_pc()
         op = Opcode.BEQ if self.rng.random() < 0.5 else Opcode.BNE
-        srcs = (self.dataflow.pick_source(False),)
-        if self.rng.random() < 0.5:
-            srcs = srcs + (self.dataflow.pick_source(False),)
         self.behaviors[pc] = behavior
-        instr = Instruction(pc, op, None, srcs)
-        self.dataflow.note_instruction(None)
-        return instr
+        return Instruction(pc, op, None, self.dataflow.operands(_BRANCH))
 
     def _diamond_behavior(self) -> BranchBehavior:
         """Branch behaviour of an if/else diamond, per the profile.
@@ -317,20 +311,18 @@ class _ProgramBuilder:
         # Both arms write an overlapping destination so that the consumer's
         # dynamic producer alternates with the branch direction (this is
         # what keeps Table 3's producer-repetition rates below 100%).
-        shared_dest = self.dataflow.next_dest(fp=False)
+        shared_dest = next(self.dataflow.int_dests)
         then_body = self._body(half)
         then_body.append(
             Instruction(self.alloc_pc(), Opcode.MOV, shared_dest,
-                        (self.dataflow.pick_source(False),))
+                        self.dataflow.operands(_INT, shared_dest))
         )
-        self.dataflow.note_instruction(shared_dest)
         then_block = self.add_block(then_body)
         else_body = self._body(half)
         else_body.append(
             Instruction(self.alloc_pc(), Opcode.MOV, shared_dest,
-                        (self.dataflow.pick_source(False),))
+                        self.dataflow.operands(_INT, shared_dest))
         )
-        self.dataflow.note_instruction(shared_dest)
         jmp = Instruction(self.alloc_pc(), Opcode.JMP, None, ())
         else_body.append(jmp)
         else_block = self.add_block(else_body)
@@ -400,7 +392,7 @@ class _ProgramBuilder:
         for callee_entry in callees:
             call_body = self._body(2)
             call_instr = Instruction(self.alloc_pc(), Opcode.CALL, None, ())
-            self.dataflow.note_instruction(None)
+            self.dataflow.operands(())
             call_body.append(call_instr)
             call_block = self.add_block(call_body, taken_succ=callee_entry)
             cont = self.add_block(self._body(2))
@@ -417,7 +409,7 @@ class _ProgramBuilder:
         else:
             ret_body = self._body(1)
             ret_body.append(Instruction(self.alloc_pc(), Opcode.RET, None, ()))
-            self.dataflow.note_instruction(None)
+            self.dataflow.operands(())
             ret_block = self.add_block(ret_body)
             self.patch(prev_exit, fall=ret_block)
             exit_block = ret_block

@@ -101,7 +101,7 @@ class PatternBranch(BranchBehavior):
     def __init__(self, pattern: Sequence[bool]) -> None:
         if not pattern:
             raise ValueError("pattern must be non-empty")
-        self.pattern = tuple(bool(p) for p in pattern)
+        self.pattern = tuple(map(bool, pattern))
         self._pos = 0
 
     def next_outcome(self, rng: random.Random) -> bool:
@@ -269,7 +269,7 @@ class Program:
     def _validate(self) -> None:
         n = len(self.blocks)
         for block in self.blocks:
-            term = block.terminator
+            term = block.instructions[-1]
             kind = term.branch_kind
             if kind in (BranchKind.CONDITIONAL,):
                 if block.taken_succ is None or block.fall_succ is None:

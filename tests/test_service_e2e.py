@@ -99,6 +99,23 @@ class TestRemoteExecution:
             assert canonical_bytes(remote_result) == canonical_bytes(
                 local_result)
 
+    def test_heartbeat_cycles_default_to_the_environment(
+            self, server, tmp_path, monkeypatch):
+        """Without ``heartbeat_cycles`` the worker reads
+        ``REPRO_HEARTBEAT_CYCLES``, as the engine's pool workers do:
+        ``0`` runs a job without a single beat."""
+        monkeypatch.setenv("REPRO_HEARTBEAT_CYCLES", "0")
+        jobs = make_jobs()[:1]
+        submit_jobs(server.url, jobs)
+        worker = WorkerAgent(
+            server.url, poll_interval=0.05, max_jobs=1,
+            cache=ResultCache(root=str(tmp_path / "worker-cache"),
+                              remote=False))
+        assert worker.heartbeat_cycles == 0
+        assert worker.run() == 0
+        assert worker.jobs_done == 1
+        assert worker.heartbeats == 0
+
     def test_warm_resubmission_executes_zero_jobs(self, server, tmp_path):
         jobs = make_jobs()
         submit_jobs(server.url, jobs)

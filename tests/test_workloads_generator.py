@@ -208,3 +208,15 @@ def test_phased_program_matches_golden_digest():
     program = phased_program(("compute", "memory", "branchy"), seed=3)
     assert (_program_digest(program)
             == GOLDEN_PROGRAMS["phased-compute-memory-branchy/3"])
+
+
+def test_simulating_leaves_the_program_unchanged():
+    """A ``Program`` is read-only and shared: building and running a
+    ``Simulator`` on it changes nothing generation decided."""
+    from repro.assign.base import StrategySpec
+    from repro.core.simulator import Simulator
+
+    program = generate_program(profile_for("mcf"))
+    before = _program_digest(program)
+    Simulator(program, StrategySpec(kind="fdrt"), seed=1).run(5_000)
+    assert _program_digest(program) == before == GOLDEN_PROGRAMS["mcf"]
